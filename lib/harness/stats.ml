@@ -37,7 +37,7 @@ let of_env ?faults env =
 (* Counter fields are reported as the delta across the run; the batch/wait
    distributions are cumulative for the component's lifetime (histograms
    are not subtractable), which matches the common fresh-env-per-run
-   usage. *)
+   usage; the [resident_bytes] gauge is its end-of-run value. *)
 let wal_delta (before : Log_manager.stats) (after : Log_manager.stats) =
   {
     after with
@@ -186,13 +186,14 @@ let pp ppf s =
 let wal_json b (w : Log_manager.stats) =
   Printf.bprintf b
     "{\"appends\": %d, \"forces\": %d, \"flushes\": %d, \"flush_requests\": \
-     %d, \"logical_commits\": %d, \"bytes\": %d, \"batch_mean\": %.2f, \"batch_p99\": %d, \
+     %d, \"logical_commits\": %d, \"bytes\": %d, \"resident_bytes\": %d, \
+     \"batch_mean\": %.2f, \"batch_p99\": %d, \
      \"batch_max\": %d, \"wait_mean_ns\": %.0f, \"wait_p50_ns\": %d, \
      \"wait_p99_ns\": %d, \"truncations\": %d, \"truncated_records\": %d, \
      \"truncated_bytes\": %d}"
     w.Log_manager.appends w.Log_manager.forces w.Log_manager.flushes
     w.Log_manager.flush_requests w.Log_manager.logical_commits
-    w.Log_manager.bytes w.Log_manager.batch_mean
+    w.Log_manager.bytes w.Log_manager.resident_bytes w.Log_manager.batch_mean
     w.Log_manager.batch_p99 w.Log_manager.batch_max w.Log_manager.wait_mean_ns
     w.Log_manager.wait_p50_ns w.Log_manager.wait_p99_ns
     w.Log_manager.truncations w.Log_manager.truncated_records

@@ -60,13 +60,8 @@ let file ~page_size ~path =
   let read pid buf =
     Atomic.incr reads;
     Mutex.lock mu;
-    let off = pid * page_size in
-    let len = (Unix.fstat fd).Unix.st_size in
-    if off + page_size > len then begin
-      Mutex.unlock mu;
-      raise Not_found
-    end;
-    ignore (Unix.lseek fd off Unix.SEEK_SET);
+    (* A page at or past the end of the file reads short: [Not_found]. *)
+    ignore (Unix.lseek fd (pid * page_size) Unix.SEEK_SET);
     let rec fill pos =
       if pos < page_size then begin
         let n = Unix.read fd buf pos (page_size - pos) in
@@ -185,7 +180,7 @@ module Faulty = struct
     | Pass
     | Fail_stop
     | Transient
-    | Torn of int  (* cut offset: bytes [0, cut) reach the medium *)
+    | Torn  (* the write reaches the medium only up to a cut *)
     | Flip of int  (* bit index to flip in the returned buffer *)
 
   let decide ctl ~pid ~write ~page_size =
@@ -203,9 +198,7 @@ module Faulty = struct
       | _ when write && roll p.transient_write ->
           ctl.transient_writes <- ctl.transient_writes + 1;
           Transient
-      | _ when write && roll p.torn_write ->
-          ctl.torn_writes <- ctl.torn_writes + 1;
-          Torn (1 + Rng.int ctl.rng (page_size - 1))
+      | _ when write && roll p.torn_write -> Torn
       | _ when (not write) && roll p.transient_read ->
           ctl.transient_reads <- ctl.transient_reads + 1;
           Transient
@@ -236,7 +229,7 @@ module Faulty = struct
       match decide ctl ~pid ~write:false ~page_size with
       | Fail_stop -> raise (Disk_error { pid; op = "read"; transient = false })
       | Transient -> raise (Disk_error { pid; op = "read"; transient = true })
-      | Torn _ -> assert false
+      | Torn -> assert false
       | Pass -> inner.read pid buf
       | Flip bit ->
           inner.read pid buf;
@@ -250,14 +243,33 @@ module Faulty = struct
       | Transient -> raise (Disk_error { pid; op = "write"; transient = true })
       | Flip _ -> assert false
       | Pass -> inner.write pid buf
-      | Torn cut ->
-          (* Only bytes [0, cut) reach the medium; the tail keeps whatever
-             durable image existed before (zeroes when none did). *)
+      | Torn -> (
+          (* Only bytes [0, cut) reach the medium; the rest keeps whatever
+             durable image existed before (zeroes when none did). The cut
+             falls in (first, last] differing byte of the new image against
+             the durable one, so the result really is neither image; when
+             fewer than two bytes differ there is nothing to tear and the
+             write passes uncounted. *)
           let composite = Bytes.make page_size '\000' in
           (try inner.read pid composite with Not_found -> ());
-          Bytes.blit buf 0 composite 0 cut;
-          inner.write pid composite;
-          raise (Disk_error { pid; op = "torn-write"; transient = false })
+          let first = ref 0 in
+          while !first < page_size && Bytes.get buf !first = Bytes.get composite !first do
+            incr first
+          done;
+          let last = ref (page_size - 1) in
+          while !last > !first && Bytes.get buf !last = Bytes.get composite !last do
+            decr last
+          done;
+          if !first >= !last then inner.write pid buf
+          else begin
+            Mutex.lock ctl.mu;
+            ctl.torn_writes <- ctl.torn_writes + 1;
+            let cut = !first + 1 + Rng.int ctl.rng (!last - !first) in
+            Mutex.unlock ctl.mu;
+            Bytes.blit buf 0 composite 0 cut;
+            inner.write pid composite;
+            raise (Disk_error { pid; op = "torn-write"; transient = false })
+          end)
     in
     ( {
         page_size;

@@ -46,7 +46,11 @@ module Faulty : sig
   type plan = {
     torn_write : float;
         (** P(a write persists only a prefix of the page, then raises a
-            non-transient {!Disk_error}) — the classic torn page *)
+            non-transient {!Disk_error}) — the classic torn page. The cut
+            falls after the first and at or before the last byte where the
+            new image differs from the durable one, so a torn page is never
+            byte-identical to either; a write that differs in fewer than two
+            bytes cannot tear and passes uncounted. *)
     transient_read : float;
         (** P(a read raises a transient {!Disk_error} without touching the
             buffer); a retry re-draws *)

@@ -111,23 +111,25 @@ let of_bytes ~id buf =
 (* --- checksums ---
 
    The CRC covers the entire page image with the checksum field itself
-   read as zero, so stamping is: zero the field, CRC, store. The buffer
-   pool stamps on every flush and verifies on every fetch; the field is
-   meaningless (stale) while the page is dirty in memory. *)
+   read as zero: it runs over the bytes around the field with four zero
+   bytes in its place, so computing it never writes to the page. The
+   buffer pool stamps on every flush and verifies on every fetch; the
+   field is meaningless (stale) while the page is dirty in memory. *)
 
 let checksum t = Codec.read_u32 t.buf checksum_off
 
+let zero_field = "\000\000\000\000"
+
 let compute_checksum t =
-  let saved = Codec.read_u32 t.buf checksum_off in
-  Codec.set_u32 t.buf checksum_off 0;
-  let crc = Codec.crc32 (Bytes.unsafe_to_string t.buf) in
-  Codec.set_u32 t.buf checksum_off saved;
-  crc
+  let s = Bytes.unsafe_to_string t.buf in
+  let crc = Codec.crc32_sub s ~pos:0 ~len:checksum_off in
+  let crc = Codec.crc32_sub ~crc zero_field ~pos:0 ~len:4 in
+  let rest = checksum_off + 4 in
+  Int32.of_int
+    (Codec.crc32_sub ~crc s ~pos:rest ~len:(Bytes.length t.buf - rest))
 
 let stamp_checksum t =
-  Codec.set_u32 t.buf checksum_off 0;
-  let crc = Codec.crc32 (Bytes.unsafe_to_string t.buf) in
-  Codec.set_u32 t.buf checksum_off (Int32.to_int crc land 0xFFFFFFFF)
+  Codec.set_u32 t.buf checksum_off (Int32.to_int (compute_checksum t))
 
 let checksum_ok t =
   Int32.equal (compute_checksum t)

@@ -26,7 +26,11 @@ val put_float : Buffer.t -> float -> unit
 
 type reader
 
-val reader : ?pos:int -> string -> reader
+val reader : ?pos:int -> ?len:int -> string -> reader
+(** A cursor over [src] starting at [pos] (default 0) and confined to the
+    next [len] bytes (default: to the end of [src]); reads past the limit
+    raise [Corrupt]. *)
+
 val pos : reader -> int
 val remaining : reader -> int
 
@@ -48,4 +52,12 @@ val read_u32 : bytes -> int -> int
 val read_i64 : bytes -> int -> int64
 
 val crc32 : string -> int32
-(** CRC-32 (IEEE) over the whole string; used for log-record framing. *)
+(** CRC-32 (IEEE) over the whole string. *)
+
+val crc32_sub : ?crc:int -> string -> pos:int -> len:int -> int
+(** CRC-32 (IEEE) of the [len] bytes of [s] at [pos], as an unboxed value in
+    [\[0, 2{^32})] — bit-identical to {!crc32} on the same bytes, computed
+    without allocating. [crc] (default 0, the CRC of nothing) continues a
+    previous result: [crc32_sub ~crc:(crc32_sub a ..) b ..] is the CRC of
+    [a] followed by [b]. Used for log-record framing (checked in place) and
+    page checksums. Raises [Invalid_argument] on a range outside [s]. *)

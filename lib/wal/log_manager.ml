@@ -1,18 +1,39 @@
 module Histogram = Pitree_util.Histogram
 module Crash_point = Pitree_util.Crash_point
+module Codec = Pitree_util.Codec
 
-type backing = {
-  mutable fd : Unix.file_descr;  (* replaced when truncation rewrites the file *)
-  path : string;
-  mutable file_end : int;  (* byte offset of the durable tail *)
-}
+(* Where the durable frames live. A file-backed log keeps them only in its
+   file; the in-memory log keeps them in a growable byte store with the
+   same layout, so both backings share every path above the store
+   primitives below. *)
+type store =
+  | Mem of { mutable data : bytes }  (* durable frames fill a prefix *)
+  | File of {
+      path : string;
+      mutable wfd : Unix.file_descr;
+          (* the group-commit leader's: it seeks and writes this one with
+             [mu] released, so nothing else may touch it meanwhile *)
+      mutable rfd : Unix.file_descr;  (* read-only; used under [rmu] *)
+    }
 
+(* Byte positions are absolute: offset [x] of the log stream (every frame
+   ever appended, back to back) sits at [x - file_base] in the store while
+   durable ([x < durable_off]) and at [x - durable_off] in [tail] while
+   volatile. Truncation moves [file_base]; nothing is renumbered. *)
 type t = {
   mu : Mutex.t;
   cond : Condition.t;  (* signalled when [durable] advances or a leader retires *)
+  rmu : Mutex.t;
+      (* owns the store's read side: taken (after [mu]) by durable readers
+         and by anything that swaps the store's descriptor or buffer *)
   group_commit : bool;
-  mutable records : string array;
-      (* encoded window; lsn n at index n-1-purged *)
+  store : store;
+  mutable offs : int array;
+      (* start offset of each retained record; lsn n at index n-1-purged *)
+  mutable next_off : int;  (* end of the last appended frame *)
+  mutable file_base : int;  (* offset held at store byte 0 *)
+  mutable durable_off : int;  (* end of the durable frames *)
+  mutable tail : bytes;  (* volatile frames [durable_off, next_off) *)
   mutable count : int;  (* total LSNs ever appended *)
   mutable purged : int;  (* records discarded from the front by truncation *)
   mutable max_txn : int;  (* highest txn id ever appended (survives purges) *)
@@ -37,8 +58,15 @@ type t = {
   mutable truncated_bytes : int;
   batch_hist : Histogram.t;  (* enrolled requests covered per flush event *)
   wait_hist : Histogram.t;  (* ns a committer spent blocked in [flush] *)
-  backing : backing option;
 }
+
+(* Sequential readers (the open-time loader, [iter_from], truncation's
+   rewrite) move the store in blocks of this size, not a record at a
+   time: a syscall per record would dominate recovery's scan. *)
+let block_size = 1 lsl 18
+
+(* Initial size of the tail buffer, and the floor it shrinks back to. *)
+let tail_min = 1 lsl 16
 
 (* Registered up front so sweep harnesses can enumerate it before it ever
    fires. It sits between the batch reaching disk and the waiters being
@@ -74,175 +102,280 @@ let read_master path =
       | _ -> (Lsn.null, Lsn.null))
   | exception Sys_error _ -> (Lsn.null, Lsn.null)
 
-(* Load the durable prefix of a log file: framed records back to back; a
-   torn tail (short or CRC-corrupt final record) is discarded, exactly as a
-   real log manager does on restart. The file may start mid-history (after
-   a truncation); the first record's embedded LSN tells us how much of the
-   prefix was reclaimed. *)
-let load_file path =
-  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
+(* --- store primitives --- *)
+
+let rec write_all fd buf pos len =
+  if len > 0 then begin
+    let n = Unix.write fd buf pos len in
+    write_all fd buf (pos + n) (len - n)
+  end
+
+(* Fill [buf.[pos, pos+len)] from [fd]'s current position. *)
+let rec read_exact fd buf pos len =
+  if len > 0 then begin
+    let n = Unix.read fd buf pos len in
+    if n = 0 then raise (Codec.Corrupt "log file shorter than its index");
+    read_exact fd buf (pos + n) (len - n)
+  end
+
+(* Append [src.[0, len)] at store position [at] and make it durable;
+   returns true iff a real fsync happened. Only the leader calls this: on
+   a file with [mu] released, in memory with [mu] held. *)
+let store_append t ~at src len =
+  if len = 0 then false
+  else
+    match t.store with
+    | File f ->
+        ignore (Unix.lseek f.wfd at Unix.SEEK_SET);
+        write_all f.wfd src 0 len;
+        Unix.fsync f.wfd;
+        true
+    | Mem m ->
+        Mutex.lock t.rmu;
+        if at + len > Bytes.length m.data then begin
+          let bigger = Bytes.create (max (at + len) (2 * Bytes.length m.data)) in
+          Bytes.blit m.data 0 bigger 0 at;
+          m.data <- bigger
+        end;
+        Bytes.blit src 0 m.data at len;
+        Mutex.unlock t.rmu;
+        false
+
+(* Copy store bytes [pos, pos+len) into [buf]. Called with [mu] held and
+   returns with it released: [rmu] is taken first, so no truncation can
+   swap the store between the caller's offset lookup and the read. *)
+let read_durable t ~pos buf len =
+  Mutex.lock t.rmu;
+  Mutex.unlock t.mu;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock t.rmu)
+    (fun () ->
+      match t.store with
+      | File f ->
+          ignore (Unix.lseek f.rfd pos Unix.SEEK_SET);
+          read_exact f.rfd buf 0 len
+      | Mem m -> Bytes.blit m.data pos buf 0 len)
+
+(* Replace the store by its bytes [from, from+len), the window that
+   survives a truncation. A file is copied block by block to a temporary
+   file, which is fsynced and renamed over the log: a crash mid-rewrite
+   leaves either the old or the new file, both complete. Caller holds
+   [mu] with no leader in flight. *)
+let store_rewrite t ~from ~len =
+  match t.store with
+  | Mem m ->
+      let data = Bytes.sub m.data from len in
+      Mutex.lock t.rmu;
+      m.data <- data;
+      Mutex.unlock t.rmu
+  | File f ->
+      let tmp = f.path ^ ".tmp" in
+      let out = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close out)
+        (fun () ->
+          let buf = Bytes.create (min len block_size) in
+          ignore (Unix.lseek f.wfd from Unix.SEEK_SET);
+          let rec copy left =
+            if left > 0 then begin
+              let n = min left block_size in
+              read_exact f.wfd buf 0 n;
+              write_all out buf 0 n;
+              copy (left - n)
+            end
+          in
+          copy len;
+          Unix.fsync out);
+      Unix.rename tmp f.path;
+      Unix.close f.wfd;
+      f.wfd <- Unix.openfile f.path [ Unix.O_RDWR ] 0o644;
+      Mutex.lock t.rmu;
+      Unix.close f.rfd;
+      f.rfd <- Unix.openfile f.path [ Unix.O_RDONLY ] 0;
+      Mutex.unlock t.rmu
+
+(* [a] with room for index [n], doubled when full. *)
+let grown a n =
+  if n < Array.length a then a
+  else begin
+    let b = Array.make (2 * max 1 n) 0 in
+    Array.blit a 0 b 0 n;
+    b
+  end
+
+(* Scan a log file in one streaming pass: check each frame's CRC in place
+   and note its offset, the first LSN and the highest txn id. A torn tail
+   (a short or corrupt final frame, or a break in the LSN sequence) is cut
+   off, exactly as a real log manager does on restart. The file may start
+   mid-history (after a truncation); the first frame's LSN tells how much
+   of the prefix was reclaimed. Returns the offsets, their count, the
+   first LSN, the highest txn id and the length of the intact prefix. *)
+let load fd =
   let size = (Unix.fstat fd).Unix.st_size in
-  let buf = Bytes.make size '\000' in
-  let rec fill off =
-    if off < size then
-      let n = Unix.read fd buf off (size - off) in
-      if n = 0 then off else fill (off + n)
-    else off
+  let buf = ref Bytes.empty in
+  let base = ref 0 (* file offset of buf.[0] *) and have = ref 0 and pos = ref 0 in
+  (* Make [need] bytes readable at [pos]; false if the file ends first.
+     The descriptor is read strictly sequentially: its position is always
+     [base + have]. *)
+  let ensure need =
+    if !have - !pos >= need then true
+    else if !base + !pos + need > size then false
+    else begin
+      let keep = !have - !pos in
+      let cap = max need (min block_size (size - !base - !pos)) in
+      let b = if Bytes.length !buf >= cap then !buf else Bytes.create cap in
+      Bytes.blit !buf !pos b 0 keep;
+      buf := b;
+      base := !base + !pos;
+      pos := 0;
+      let want = min (Bytes.length b - keep) (size - !base - keep) in
+      read_exact fd b keep want;
+      have := keep + want;
+      true
+    end
   in
-  let got = fill 0 in
-  let data = Bytes.sub_string buf 0 got in
-  let records = ref [] in
-  let off = ref 0 in
-  (try
-     while !off < got do
-       let r = Pitree_util.Codec.reader ~pos:!off data in
-       let len = Pitree_util.Codec.get_u32 r in
-       let total = 4 + len + 4 in
-       if !off + total > got then raise Exit;
-       let framed = String.sub data !off total in
-       (* Validate CRC before accepting. *)
-       ignore (Log_record.decode framed);
-       records := framed :: !records;
-       off := !off + total
-     done
-   with Exit | Pitree_util.Codec.Corrupt _ -> ());
+  let offs = ref (Array.make 1024 0) and n = ref 0 in
+  let first = ref Lsn.null and max_txn = ref 0 in
+  let rec scan () =
+    let at = !base + !pos in
+    if not (ensure 4) then at
+    else
+      let total = Log_record.frame_length (Bytes.unsafe_to_string !buf) ~pos:!pos in
+      if not (ensure total) then at
+      else
+        match Log_record.verify (Bytes.unsafe_to_string !buf) ~pos:!pos with
+        | exception Codec.Corrupt _ -> at
+        | lsn, _ when !n > 0 && lsn <> !first + !n -> at
+        | lsn, txn ->
+            if !n = 0 then first := lsn;
+            offs := grown !offs !n;
+            !offs.(!n) <- at;
+            incr n;
+            if txn > !max_txn then max_txn := txn;
+            pos := !pos + total;
+            scan ()
+  in
+  let intact = scan () in
   (* Truncate any torn tail so future appends start clean. *)
-  if !off < got then Unix.ftruncate fd !off;
-  (fd, List.rev !records, !off)
+  if intact < size then Unix.ftruncate fd intact;
+  (!offs, !n, !first, !max_txn, intact)
+
+let make ~group_commit store =
+  {
+    mu = Mutex.create ();
+    cond = Condition.create ();
+    rmu = Mutex.create ();
+    group_commit;
+    store;
+    offs = Array.make 1024 0;
+    next_off = 0;
+    file_base = 0;
+    durable_off = 0;
+    tail = Bytes.create tail_min;
+    count = 0;
+    purged = 0;
+    max_txn = 0;
+    durable = Lsn.null;
+    redo_from = 1;
+    ckpt_lsn = Lsn.null;
+    flushing = false;
+    flush_target = Lsn.null;
+    pending = [];
+    forces = 0;
+    flushes = 0;
+    flush_requests = 0;
+    logical_commits = 0;
+    bytes = 0;
+    truncations = 0;
+    truncated_records = 0;
+    truncated_bytes = 0;
+    batch_hist = Histogram.create ();
+    wait_hist = Histogram.create ();
+  }
 
 let create ?path ?(group_commit = true) () =
   match path with
-  | None ->
-      {
-        mu = Mutex.create ();
-        cond = Condition.create ();
-        group_commit;
-        records = Array.make 1024 "";
-        count = 0;
-        purged = 0;
-        max_txn = 0;
-        durable = Lsn.null;
-        redo_from = 1;
-        ckpt_lsn = Lsn.null;
-        flushing = false;
-        flush_target = Lsn.null;
-        pending = [];
-        forces = 0;
-        flushes = 0;
-        flush_requests = 0;
-        logical_commits = 0;
-        bytes = 0;
-        truncations = 0;
-        truncated_records = 0;
-        truncated_bytes = 0;
-        batch_hist = Histogram.create ();
-        wait_hist = Histogram.create ();
-        backing = None;
-      }
+  | None -> make ~group_commit (Mem { data = Bytes.empty })
   | Some path ->
-      let fd, recs, file_end = load_file path in
-      let n = List.length recs in
-      let arr = Array.make (max 1024 n) "" in
-      List.iteri (fun i s -> arr.(i) <- s) recs;
+      let wfd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
+      let offs, n, first, max_txn, size = load wfd in
+      let rfd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+      let t = make ~group_commit (File { path; wfd; rfd }) in
       (* A truncated log starts mid-history: the purged prefix is implied
          by the first surviving record's LSN. *)
-      let purged =
-        match recs with
-        | [] -> 0
-        | first :: _ -> (Log_record.decode first).Log_record.lsn - 1
-      in
+      let purged = if n = 0 then 0 else first - 1 in
       let count = purged + n in
       let master_ckpt, master_redo = read_master path in
       let valid v = v >= purged + 1 && v <= count in
-      let ckpt_lsn = if valid master_ckpt then master_ckpt else Lsn.null in
-      let redo_from =
-        if Lsn.is_null ckpt_lsn then purged + 1
-        else if valid master_redo then master_redo
-        else purged + 1
-      in
-      {
-        mu = Mutex.create ();
-        cond = Condition.create ();
-        group_commit;
-        records = arr;
-        count;
-        purged;
-        max_txn =
-          List.fold_left
-            (fun acc s -> max acc (Log_record.decode s).Log_record.txn)
-            0 recs;
-        durable = count;
-        redo_from;
-        ckpt_lsn;
-        flushing = false;
-        flush_target = Lsn.null;
-        pending = [];
-        forces = 0;
-        flushes = 0;
-        flush_requests = 0;
-        logical_commits = 0;
-        bytes = List.fold_left (fun a s -> a + String.length s) 0 recs;
-        truncations = 0;
-        truncated_records = 0;
-        truncated_bytes = 0;
-        batch_hist = Histogram.create ();
-        wait_hist = Histogram.create ();
-        backing = Some { fd; path; file_end };
-      }
+      t.ckpt_lsn <- (if valid master_ckpt then master_ckpt else Lsn.null);
+      t.redo_from <-
+        (if Lsn.is_null t.ckpt_lsn then purged + 1
+         else if valid master_redo then master_redo
+         else purged + 1);
+      t.offs <- offs;
+      t.count <- count;
+      t.purged <- purged;
+      t.max_txn <- max_txn;
+      t.durable <- count;
+      t.next_off <- size;
+      t.durable_off <- size;
+      t.bytes <- size;
+      t
 
 let window t = t.count - t.purged
 
-let grow t =
-  let bigger = Array.make (2 * Array.length t.records) "" in
-  Array.blit t.records 0 bigger 0 (window t);
-  t.records <- bigger
+(* Where record [lsn] starts; [count + 1] gives the end of the log. Caller
+   holds [mu] and [purged < lsn <= count + 1]. *)
+let start_of t lsn =
+  if lsn > t.count then t.next_off else t.offs.(lsn - 1 - t.purged)
 
 let append t ~prev ~txn body =
   Mutex.lock t.mu;
   let lsn = t.count + 1 in
   let encoded = Log_record.encode { Log_record.lsn; prev; txn; body } in
-  if window t >= Array.length t.records then grow t;
-  t.records.(window t) <- encoded;
-  t.count <- t.count + 1;
+  let len = String.length encoded in
+  let w = window t in
+  t.offs <- grown t.offs w;
+  t.offs.(w) <- t.next_off;
+  (* A leader may be writing from the current buffer with [mu] released:
+     growing copies into a fresh one and never disturbs those bytes. *)
+  let at = t.next_off - t.durable_off in
+  if at + len > Bytes.length t.tail then begin
+    let bigger = Bytes.create (max (at + len) (2 * Bytes.length t.tail)) in
+    Bytes.blit t.tail 0 bigger 0 at;
+    t.tail <- bigger
+  end;
+  Bytes.blit_string encoded 0 t.tail at len;
+  t.next_off <- t.next_off + len;
+  t.count <- lsn;
   if txn > t.max_txn then t.max_txn <- txn;
-  t.bytes <- t.bytes + String.length encoded;
+  t.bytes <- t.bytes + len;
   Mutex.unlock t.mu;
   lsn
 
-(* Caller holds [t.mu]. Concatenate the frames (durable, upto]. *)
-let gather t upto =
-  let buf = Buffer.create 4096 in
-  for i = t.durable to upto - 1 do
-    Buffer.add_string buf t.records.(i - t.purged)
-  done;
-  Buffer.contents buf
-
-(* One sequential write + one fsync for the whole batch. Only the leader
-   (flushing = true) reaches this, so the fd and [file_end] are private to
-   it for the duration. Returns true iff a real fsync happened. *)
-let write_payload b payload =
-  if String.length payload = 0 then false
-  else begin
-    ignore (Unix.lseek b.fd b.file_end Unix.SEEK_SET);
-    let bytes = Bytes.of_string payload in
-    let rec push off =
-      if off < Bytes.length bytes then
-        push (off + Unix.write b.fd bytes off (Bytes.length bytes - off))
-    in
-    push 0;
-    Unix.fsync b.fd;
-    b.file_end <- b.file_end + String.length payload;
-    true
+(* Caller holds [mu]. The leader just made the first [len] tail bytes
+   durable: slide the frames appended meanwhile to the front, shrinking a
+   buffer that a burst left oversized. *)
+let drop_durable_prefix t len =
+  let rest = t.next_off - t.durable_off in
+  let cap = Bytes.length t.tail in
+  if cap > 4 * tail_min && 4 * rest < cap then begin
+    let smaller = Bytes.create (max tail_min (2 * rest)) in
+    Bytes.blit t.tail len smaller 0 rest;
+    t.tail <- smaller
   end
+  else if len > 0 then Bytes.blit t.tail len t.tail 0 rest
 
 (* Group-commit core. [mu] is held on entry and exit. The calling thread
    either waits for a leader to cover its LSN or becomes the leader itself:
    it snapshots everything requested so far, performs one write + fsync
-   with [mu] released (serial mode keeps it held, reproducing the
-   pre-group-commit force path for baseline measurement), publishes the new
-   durability horizon and wakes every covered waiter. Requests that arrive
-   while the leader is in the write path accumulate for the next leader —
-   the pipeline that lets N concurrent committers share O(1) fsyncs. *)
+   straight from the tail buffer with [mu] released (serial mode keeps it
+   held, reproducing the pre-group-commit force path for baseline
+   measurement; the in-memory store is a memory copy and keeps it too),
+   publishes the new durability horizon and wakes every covered waiter.
+   Requests that arrive while the leader is in the write path accumulate
+   for the next leader — the pipeline that lets N concurrent committers
+   share O(1) fsyncs. *)
 let rec flush_locked t target =
   if t.durable >= target then ()
   else if t.flushing then begin
@@ -252,38 +385,27 @@ let rec flush_locked t target =
   else begin
     t.flushing <- true;
     let upto = min t.flush_target t.count in
-    let payload = match t.backing with None -> "" | Some _ -> gather t upto in
-    let synced =
-      match t.backing with
-      | None -> false
-      | Some b ->
-          if t.group_commit then begin
-            Mutex.unlock t.mu;
-            let synced =
-              match write_payload b payload with
-              | synced -> synced
-              | exception e ->
-                  (* Leave the pipeline electable before re-raising. *)
-                  Mutex.lock t.mu;
-                  t.flushing <- false;
-                  Condition.broadcast t.cond;
-                  Mutex.unlock t.mu;
-                  raise e
-            in
-            Mutex.lock t.mu;
-            synced
-          end
-          else begin
-            match write_payload b payload with
-            | synced -> synced
-            | exception e ->
-                t.flushing <- false;
-                Condition.broadcast t.cond;
-                Mutex.unlock t.mu;
-                raise e
-          end
+    let len = start_of t (upto + 1) - t.durable_off in
+    let src = t.tail and at = t.durable_off - t.file_base in
+    let release =
+      t.group_commit && match t.store with File _ -> true | Mem _ -> false
     in
+    if release then Mutex.unlock t.mu;
+    let synced =
+      match store_append t ~at src len with
+      | synced -> synced
+      | exception e ->
+          (* Leave the pipeline electable before re-raising. *)
+          if release then Mutex.lock t.mu;
+          t.flushing <- false;
+          Condition.broadcast t.cond;
+          Mutex.unlock t.mu;
+          raise e
+    in
+    if release then Mutex.lock t.mu;
     t.durable <- upto;
+    t.durable_off <- t.durable_off + len;
+    drop_durable_prefix t len;
     t.flushes <- t.flushes + 1;
     if synced then t.forces <- t.forces + 1;
     let covered, rest = List.partition (fun l -> l <= upto) t.pending in
@@ -349,7 +471,11 @@ let first_lsn t =
 
 let file_bytes t =
   Mutex.lock t.mu;
-  let v = Option.map (fun b -> b.file_end) t.backing in
+  let v =
+    match t.store with
+    | File _ -> Some (t.durable_off - t.file_base)
+    | Mem _ -> None
+  in
   Mutex.unlock t.mu;
   v
 
@@ -363,28 +489,56 @@ let read t lsn =
     Mutex.unlock t.mu;
     invalid_arg (Printf.sprintf "Log_manager.read: lsn %d was truncated" lsn)
   end;
-  let s = t.records.(lsn - 1 - t.purged) in
-  Mutex.unlock t.mu;
-  Log_record.decode s
+  let off = start_of t lsn in
+  let len = start_of t (lsn + 1) - off in
+  let buf = Bytes.create len in
+  if off >= t.durable_off then begin
+    Bytes.blit t.tail (off - t.durable_off) buf 0 len;
+    Mutex.unlock t.mu
+  end
+  else read_durable t ~pos:(off - t.file_base) buf len;
+  Log_record.decode (Bytes.unsafe_to_string buf)
 
+(* Records come from the store a block at a time (or from the tail, copied
+   out under [mu]) and are decoded in place; [f] runs with no lock held, so
+   it may read, append or iterate itself. *)
 let iter_from t lsn f =
-  let get i =
-    Mutex.lock t.mu;
-    let s =
-      if i > t.purged && i <= t.count then Some t.records.(i - 1 - t.purged)
-      else None
-    in
-    Mutex.unlock t.mu;
-    s
-  in
+  let block = ref Bytes.empty in
   let rec go i =
-    match get i with
-    | None -> ()
-    | Some s ->
-        f (Log_record.decode s);
-        go (i + 1)
+    Mutex.lock t.mu;
+    if i <= t.purged || i > t.count then Mutex.unlock t.mu
+    else begin
+      let off = start_of t i in
+      let frame = start_of t (i + 1) - off in
+      let len, src =
+        if off >= t.durable_off then begin
+          let len = min (t.next_off - off) (max block_size frame) in
+          let src = Bytes.sub t.tail (off - t.durable_off) len in
+          Mutex.unlock t.mu;
+          (len, src)
+        end
+        else begin
+          let len = min (t.durable_off - off) (max block_size frame) in
+          if Bytes.length !block < len then block := Bytes.create (max len block_size);
+          read_durable t ~pos:(off - t.file_base) !block len;
+          (len, !block)
+        end
+      in
+      let s = Bytes.unsafe_to_string src in
+      (* Every frame wholly inside the block; a frame cut by the block's
+         end starts the next one. Decoded records copy what they keep, so
+         the block can be refilled. *)
+      let rec each pos i =
+        if pos + 4 <= len && pos + Log_record.frame_length s ~pos <= len then begin
+          f (Log_record.decode ~pos s);
+          each (pos + Log_record.frame_length s ~pos) (i + 1)
+        end
+        else i
+      in
+      go (each 0 i)
+    end
   in
-  go (max (t.purged + 1) (max 1 lsn))
+  go (max (first_lsn t) lsn)
 
 let max_txn_id t =
   Mutex.lock t.mu;
@@ -396,56 +550,42 @@ let max_txn_id t =
    durable, pre-redo-point records may go (the clamp is the safety net for
    the documented contract: truncation never removes records at or above
    the redo point, nor records a group-commit leader has yet to write).
-   For a file-backed log the surviving durable window is rewritten to a
-   temporary file which is fsynced and renamed over the log — the file
-   itself shrinks, and a crash during the rewrite leaves either the old or
-   the new file, both complete. Returns how many records were discarded. *)
+   The store is rewritten to hold just the surviving durable window (see
+   [store_rewrite]); the volatile tail was never in it. Returns how many
+   records were discarded. *)
 let truncate t ~keep_from =
   Mutex.lock t.mu;
-  (* An in-flight leader reads the fd and file offset with [mu] released;
-     wait until it retires before touching the file. While we hold [mu] no
-     new leader can be elected. *)
+  (* An in-flight leader writes the store with [mu] released; wait until
+     it retires before touching the store. While we hold [mu] no new
+     leader can be elected. *)
   while t.flushing do
     Condition.wait t.cond t.mu
   done;
   let keep_from = min keep_from (min (t.durable + 1) t.redo_from) in
   let n = max 0 (keep_from - 1 - t.purged) in
   if n > 0 then begin
-    let w = window t in
-    let dropped_bytes = ref 0 in
-    for i = 0 to n - 1 do
-      dropped_bytes := !dropped_bytes + String.length t.records.(i)
-    done;
-    Array.blit t.records n t.records 0 (w - n);
-    Array.fill t.records (w - n) n "";
+    let keep_off = start_of t keep_from in
+    (match
+       store_rewrite t ~from:(keep_off - t.file_base)
+         ~len:(t.durable_off - keep_off)
+     with
+    | () -> ()
+    | exception e ->
+        Mutex.unlock t.mu;
+        raise e);
+    let w = window t - n in
+    let offs =
+      if Array.length t.offs > 4096 && 4 * w < Array.length t.offs then
+        Array.make (max 1024 (2 * w)) 0
+      else t.offs
+    in
+    Array.blit t.offs n offs 0 w;
+    t.offs <- offs;
+    t.truncated_bytes <- t.truncated_bytes + (keep_off - t.file_base);
+    t.file_base <- keep_off;
     t.purged <- t.purged + n;
     t.truncations <- t.truncations + 1;
-    t.truncated_records <- t.truncated_records + n;
-    t.truncated_bytes <- t.truncated_bytes + !dropped_bytes;
-    match t.backing with
-    | None -> ()
-    | Some b ->
-        (* Rewrite the durable window [keep_from, durable]; the volatile
-           tail above [durable] was never in the file. *)
-        let buf = Buffer.create 4096 in
-        for i = t.purged to t.durable - 1 do
-          Buffer.add_string buf t.records.(i - t.purged)
-        done;
-        let payload = Buffer.contents buf in
-        let tmp = b.path ^ ".tmp" in
-        let fd = Unix.openfile tmp [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-        let bytes = Bytes.of_string payload in
-        let rec push off =
-          if off < Bytes.length bytes then
-            push (off + Unix.write fd bytes off (Bytes.length bytes - off))
-        in
-        push 0;
-        Unix.fsync fd;
-        Unix.close fd;
-        Unix.rename tmp b.path;
-        Unix.close b.fd;
-        b.fd <- Unix.openfile b.path [ Unix.O_RDWR ] 0o644;
-        b.file_end <- String.length payload
+    t.truncated_records <- t.truncated_records + n
   end;
   Mutex.unlock t.mu;
   n
@@ -460,35 +600,36 @@ let set_checkpoint t ~lsn ~redo =
   Mutex.lock t.mu;
   t.ckpt_lsn <- lsn;
   t.redo_from <- redo;
-  (match t.backing with
-  | None -> ()
-  | Some b -> write_master b.path ~ckpt:lsn ~redo);
+  (match t.store with
+  | Mem _ -> ()
+  | File f -> write_master f.path ~ckpt:lsn ~redo);
   Mutex.unlock t.mu
 
 let crash t =
   Mutex.lock t.mu;
   let fresh =
-    match t.backing with
-    | None ->
-        let fresh = create ~group_commit:t.group_commit () in
-        let kept = t.durable - t.purged in
+    match t.store with
+    | Mem _ ->
+        (* The store survives; the volatile tail does not. *)
+        let fresh = make ~group_commit:t.group_commit t.store in
+        fresh.offs <- Array.sub t.offs 0 (t.durable - t.purged);
         fresh.count <- t.durable;
         fresh.purged <- t.purged;
         fresh.max_txn <- t.max_txn;
         fresh.durable <- t.durable;
-        fresh.records <- Array.make (max 1024 kept) "";
-        Array.blit t.records 0 fresh.records 0 kept;
+        fresh.file_base <- t.file_base;
+        fresh.durable_off <- t.durable_off;
+        fresh.next_off <- t.durable_off;
         fresh.redo_from <-
           (if t.redo_from <= t.durable then t.redo_from else t.purged + 1);
         fresh.ckpt_lsn <- (if t.ckpt_lsn <= t.durable then t.ckpt_lsn else Lsn.null);
-        fresh.bytes <-
-          Array.fold_left (fun acc s -> acc + String.length s) 0
-            (Array.sub fresh.records 0 kept);
+        fresh.bytes <- t.durable_off - t.file_base;
         fresh
-    | Some b ->
+    | File f ->
         (* Power failure: only the file survives. Reopen it. *)
-        Unix.close b.fd;
-        create ~path:b.path ~group_commit:t.group_commit ()
+        Unix.close f.wfd;
+        Unix.close f.rfd;
+        create ~path:f.path ~group_commit:t.group_commit ()
   in
   Mutex.unlock t.mu;
   fresh
@@ -500,6 +641,7 @@ type stats = {
   flush_requests : int;
   logical_commits : int;
   bytes : int;
+  resident_bytes : int;
   batch_mean : float;
   batch_p99 : int;
   batch_max : int;
@@ -521,6 +663,11 @@ let stats t =
       flush_requests = t.flush_requests;
       logical_commits = t.logical_commits;
       bytes = t.bytes;
+      resident_bytes =
+        (t.next_off - t.durable_off)
+        + (match t.store with
+          | Mem _ -> t.durable_off - t.file_base
+          | File _ -> 0);
       batch_mean = Histogram.mean t.batch_hist;
       batch_p99 = Histogram.percentile t.batch_hist 99.0;
       batch_max = Histogram.max_value t.batch_hist;
@@ -538,9 +685,9 @@ let stats t =
 let pp_stats ppf s =
   Format.fprintf ppf
     "wal: appends=%d forces=%d flushes=%d requests=%d commits=%d bytes=%d \
-     batch{mean=%.2f p99=%d max=%d} wait_ns{mean=%.0f p50=%d p99=%d} \
-     trunc{n=%d records=%d bytes=%d}"
+     resident=%d batch{mean=%.2f p99=%d max=%d} wait_ns{mean=%.0f p50=%d \
+     p99=%d} trunc{n=%d records=%d bytes=%d}"
     s.appends s.forces s.flushes s.flush_requests s.logical_commits s.bytes
-    s.batch_mean
+    s.resident_bytes s.batch_mean
     s.batch_p99 s.batch_max s.wait_mean_ns s.wait_p50_ns s.wait_p99_ns
     s.truncations s.truncated_records s.truncated_bytes

@@ -1,8 +1,14 @@
 (** The log manager: an append-only record store with an explicit
     durability boundary.
 
-    Records are stored encoded; the volatile tail ([flushed_lsn], last_lsn]
-    is lost by {!crash}, which models exactly what a power failure preserves.
+    Records are stored encoded, as CRC-framed records back to back. Only
+    the volatile tail ([flushed_lsn], last_lsn] is held in memory; a
+    file-backed log keeps every durable record in its file alone, with one
+    offset per retained record in memory, and reads it back from there
+    ({!read} one frame at a time, {!iter_from} in large blocks). The
+    in-memory log keeps the same frames in an in-memory byte store. The
+    tail is lost by {!crash}, which models exactly what a power failure
+    preserves.
     User-transaction commits force the log; atomic-action commits do not
     (relative durability, section 4.3.1) — the force counter feeds
     experiment E10.
@@ -117,6 +123,9 @@ type stats = {
           [logical_commits / flush_requests] is the write-combining fan-in
           stacked on top of group commit's [batch_mean] *)
   bytes : int;  (** encoded bytes ever appended *)
+  resident_bytes : int;
+      (** encoded bytes held in memory: the volatile tail, plus the durable
+          frames when the log has no file *)
   batch_mean : float;  (** mean flush requests coalesced per flush event *)
   batch_p99 : int;
   batch_max : int;

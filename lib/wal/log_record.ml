@@ -79,23 +79,41 @@ let encode t =
           Codec.put_u8 b (if committed then 1 else 0))
         att
   | Commit_ts { ts } -> Codec.put_int b ts);
-  let payload = Buffer.contents b in
-  let framed = Buffer.create (String.length payload + 8) in
-  Codec.put_u32 framed (String.length payload);
-  Buffer.add_string framed payload;
-  Codec.put_u32 framed (Int32.to_int (Codec.crc32 payload) land 0xffffffff);
-  Buffer.contents framed
+  let len = Buffer.length b in
+  let framed = Bytes.create (len + 8) in
+  Codec.set_u32 framed 0 len;
+  Buffer.blit b 0 framed 4 len;
+  Codec.set_u32 framed (4 + len)
+    (Codec.crc32_sub (Bytes.unsafe_to_string framed) ~pos:4 ~len);
+  Bytes.unsafe_to_string framed
 
-let decode s =
-  let r = Codec.reader s in
-  let len = Codec.get_u32 r in
-  if Codec.remaining r < len + 4 then raise (Codec.Corrupt "log record truncated");
-  let payload = String.sub s (Codec.pos r) len in
-  let r2 = Codec.reader ~pos:(Codec.pos r + len) s in
-  let crc = Codec.get_u32 r2 in
-  if crc <> Int32.to_int (Codec.crc32 payload) land 0xffffffff then
+(* Frame: u32 payload length, payload, u32 CRC-32 of the payload. *)
+let frame_length s ~pos =
+  if pos < 0 || pos > String.length s - 4 then
+    raise (Codec.Corrupt "log record header truncated");
+  8 + (Int32.to_int (String.get_int32_le s pos) land 0xffffffff)
+
+(* Check the frame at [pos] in place; returns its payload length. *)
+let checked_payload s ~pos =
+  let len = frame_length s ~pos - 8 in
+  if len > String.length s - pos - 8 then
+    raise (Codec.Corrupt "log record truncated");
+  let stored = Int32.to_int (String.get_int32_le s (pos + 4 + len)) land 0xffffffff in
+  if stored <> Codec.crc32_sub s ~pos:(pos + 4) ~len then
     raise (Codec.Corrupt "log record CRC mismatch");
-  let r = Codec.reader payload in
+  len
+
+let verify s ~pos =
+  let len = checked_payload s ~pos in
+  let r = Codec.reader ~pos:(pos + 4) ~len s in
+  let lsn = Codec.get_int r in
+  let _prev = Codec.get_int r in
+  let txn = Codec.get_int r in
+  (lsn, txn)
+
+let decode ?(pos = 0) s =
+  let len = checked_payload s ~pos in
+  let r = Codec.reader ~pos:(pos + 4) ~len s in
   let lsn = Codec.get_int r in
   let prev = Codec.get_int r in
   let txn = Codec.get_int r in

@@ -63,7 +63,23 @@ type body =
 type t = { lsn : Lsn.t; prev : Lsn.t; txn : int; body : body }
 
 val encode : t -> string
-val decode : string -> t
-(** Raises [Pitree_util.Codec.Corrupt] on framing/CRC errors. *)
+(** The record's frame: a u32 payload length, the payload, and a u32 CRC-32
+    of the payload. Frames are stored back to back in the log. *)
+
+val decode : ?pos:int -> string -> t
+(** Decode the frame starting at [pos] (default 0), checking its CRC in
+    place — no copy of the frame or payload is made, so a caller can decode
+    straight out of a block of frames. Raises [Pitree_util.Codec.Corrupt]
+    on framing/CRC errors. *)
+
+val frame_length : string -> pos:int -> int
+(** Total byte length of the frame whose header starts at [pos], read from
+    its length prefix (the frame itself need not be complete). Raises
+    [Pitree_util.Codec.Corrupt] if fewer than 4 bytes remain. *)
+
+val verify : string -> pos:int -> Lsn.t * int
+(** Check the complete frame at [pos] (length and CRC) without decoding its
+    body; returns its LSN and transaction id. Raises
+    [Pitree_util.Codec.Corrupt] like {!decode}. *)
 
 val pp : Format.formatter -> t -> unit

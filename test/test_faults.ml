@@ -106,6 +106,37 @@ let test_torn_write () =
   Alcotest.(check int) "counted" 1
     (Disk.Faulty.counters ctl).Disk.Faulty.torn_writes
 
+(* The cut falls inside the span where the images differ: the torn image
+   is neither the old nor the new one, and a write that changes nothing
+   cannot tear. *)
+let test_torn_write_cut_in_diff () =
+  let disk, ctl = mk_faulty ~seed:13L () in
+  disk.Disk.write 1 (image 'a');
+  Disk.Faulty.set_plan ctl
+    { Disk.Faulty.no_faults with Disk.Faulty.torn_write = 1.0 };
+  disk.Disk.write 1 (image 'a');
+  Alcotest.(check int) "identical image: not torn, not counted" 0
+    (Disk.Faulty.counters ctl).Disk.Faulty.torn_writes;
+  for _ = 1 to 20 do
+    let fresh = image 'a' in
+    Bytes.fill fresh 10 11 'b';
+    (match disk.Disk.write 1 fresh with
+    | () -> Alcotest.fail "differing write should tear"
+    | exception Disk.Disk_error { transient = false; _ } -> ());
+    let got = image '\000' in
+    Disk.Faulty.set_plan ctl Disk.Faulty.no_faults;
+    disk.Disk.read 1 got;
+    Alcotest.(check char) "first differing byte is new" 'b' (Bytes.get got 10);
+    Alcotest.(check char) "last differing byte is old" 'a' (Bytes.get got 20);
+    Alcotest.(check bool) "neither image" true
+      (not (Bytes.equal got fresh || Bytes.equal got (image 'a')));
+    disk.Disk.write 1 (image 'a');
+    Disk.Faulty.set_plan ctl
+      { Disk.Faulty.no_faults with Disk.Faulty.torn_write = 1.0 }
+  done;
+  Alcotest.(check int) "each tear counted" 20
+    (Disk.Faulty.counters ctl).Disk.Faulty.torn_writes
+
 let test_fail_stop () =
   let disk, ctl = mk_faulty () in
   disk.Disk.write 1 (image 'a');
@@ -385,6 +416,8 @@ let suites =
           test_transient_write_writes_nothing;
         tc "bit flip" `Quick test_bit_flip_is_read_only;
         tc "torn write" `Quick test_torn_write;
+        tc "torn write cut within the change" `Quick
+          test_torn_write_cut_in_diff;
         tc "fail stop" `Quick test_fail_stop;
         tc "protected pids" `Quick test_protected_pids;
       ] );

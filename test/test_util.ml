@@ -222,6 +222,51 @@ let test_crc32_known () =
   Alcotest.(check int32) "crc32 vector" 0xCBF43926l (Codec.crc32 "123456789");
   Alcotest.(check bool) "differs" true (Codec.crc32 "a" <> Codec.crc32 "b")
 
+(* Byte-at-a-time reference CRC-32 (IEEE), independent of the sliced
+   kernel under test. *)
+let reference_crc s ~pos ~len =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := table.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+let test_crc32_sub_known () =
+  Alcotest.(check int) "123456789" 0xCBF43926
+    (Codec.crc32_sub "123456789" ~pos:0 ~len:9);
+  Alcotest.(check int) "empty" 0 (Codec.crc32_sub "" ~pos:0 ~len:0);
+  Alcotest.(check int) "sub-range" 0xCBF43926
+    (Codec.crc32_sub "xx123456789yy" ~pos:2 ~len:9);
+  Alcotest.(check int) "continued" 0xCBF43926
+    (Codec.crc32_sub ~crc:(Codec.crc32_sub "1234" ~pos:0 ~len:4) "56789" ~pos:0
+       ~len:5);
+  Alcotest.check_raises "range outside" (Invalid_argument "Codec.crc32_sub")
+    (fun () -> ignore (Codec.crc32_sub "abc" ~pos:2 ~len:2))
+
+let test_crc32_differential () =
+  let rng = Rng.create (Seeds.derive "crc32 differential") in
+  let s = String.init (4200 + 8) (fun _ -> Char.chr (Rng.int rng 256)) in
+  for off = 0 to 7 do
+    for len = 0 to 4200 do
+      let want = reference_crc s ~pos:off ~len in
+      let got = Codec.crc32_sub s ~pos:off ~len in
+      if got <> want then
+        Alcotest.failf "crc32_sub off=%d len=%d: %08x, reference %08x" off len
+          got want
+    done
+  done;
+  Alcotest.(check int32) "crc32 agrees with the sub-range kernel"
+    (Int32.of_int (reference_crc s ~pos:0 ~len:(String.length s)))
+    (Codec.crc32 s)
+
 let test_bits () =
   Alcotest.(check int) "clz 0" 64 (Bits.clz 0);
   Alcotest.(check int) "clz 1" 63 (Bits.clz 1);
@@ -283,6 +328,10 @@ let suites =
         Alcotest.test_case "short read" `Quick test_codec_short_read;
         Alcotest.test_case "in-place bytes" `Quick test_codec_bytes_inplace;
         Alcotest.test_case "crc32 vector" `Quick test_crc32_known;
+        Alcotest.test_case "crc32_sub known answers" `Quick
+          test_crc32_sub_known;
+        Alcotest.test_case "crc32_sub vs byte-wise reference" `Quick
+          test_crc32_differential;
         Alcotest.test_case "bits" `Quick test_bits;
         QCheck_alcotest.to_alcotest prop_bytes_roundtrip;
         QCheck_alcotest.to_alcotest prop_crc_detects_flip;
