@@ -77,6 +77,18 @@ type stats = {
   ckpt_pages_written : int;
   ckpt_records_truncated : int;
   ckpt_bytes_truncated : int;
+  page_images : int;
+  page_images_skipped : int;
+}
+
+(* Full-page-write bookkeeping (see [wire_triggers]): the LSN of each
+   page's latest logged image, and the latest published Begin_checkpoint
+   LSN. One mutex guards both; it is also what orders a dirtier's
+   decision against a checkpoint's publication (see [publish_begin]). *)
+type fpw = {
+  fpw_mu : Mutex.t;
+  imaged : (int, Lsn.t) Hashtbl.t;
+  mutable since : Lsn.t;
 }
 
 type t = {
@@ -102,6 +114,10 @@ type t = {
   mutable last_ckpt_bytes : int;  (* log bytes at the last checkpoint *)
   mutable ckpt_thread : Thread.t option;
   mutable ckpt_stop : bool;  (* read by the interval thread, under ckpt_mu *)
+  mutable fpw : fpw;  (* volatile: rebuilt empty by every [wire_triggers] *)
+  page_images : int Atomic.t;  (* Page_image records logged *)
+  page_images_skipped : int Atomic.t;
+      (* clean->dirty transitions covered by an image already logged *)
 }
 
 let meta_pid = 1
@@ -158,10 +174,25 @@ let () =
   Crash_point.register crash_point_free_reused;
   Crash_point.register crash_point_free_pushed
 
+let fresh_fpw () =
+  { fpw_mu = Mutex.create (); imaged = Hashtbl.create 256; since = Lsn.null }
+
+(* Make [begin_lsn] the LSN that full-page images must reach, and forget
+   images below it. Called after the Begin_checkpoint record is appended
+   and before write-back lists dirty pages. *)
+let publish_begin f begin_lsn =
+  Mutex.lock f.fpw_mu;
+  f.since <- begin_lsn;
+  Hashtbl.filter_map_inplace
+    (fun _ lsn -> if lsn >= begin_lsn then Some lsn else None)
+    f.imaged;
+  Mutex.unlock f.fpw_mu
+
 (* One protocol for both modes (ARIES section 5.4 shape):
 
    1. fence: append Begin_checkpoint and snapshot the ATT atomically with
-      it (Txn_mgr.begin_checkpoint) — writers keep running;
+      it (Txn_mgr.begin_checkpoint) — writers keep running — then publish
+      its LSN to the full-page-write rule, before step 2 lists any page;
    2. write back dirty pages: [`Fuzzy] incrementally (one S latch at a
       time — safe under concurrent writers), [`Sharp] via the
       stop-the-shard flush_all (no page latches: callers must have no
@@ -185,6 +216,7 @@ let checkpoint ?(mode = `Sharp) t =
     (fun () ->
       let log = !(t.log_ref) in
       let begin_lsn, att = Txn_mgr.begin_checkpoint t.txns_v in
+      publish_begin t.fpw begin_lsn;
       Crash_point.hit crash_point_begin;
       let written =
         match mode with
@@ -284,18 +316,56 @@ let stop_ckpt_thread t =
       Thread.join th;
       t.ckpt_thread <- None
 
+(* Full-page writes, PostgreSQL's rule: with log truncation, a page's
+   durable image can be the only copy of its pre-checkpoint history, so
+   the first clean->dirty transition of a page after a checkpoint's Begin
+   logs the page's image, and later transitions before the next Begin log
+   nothing — a torn copy is rebuilt from that one image plus the records
+   after it.
+
+   Why a skipped image is safe. Take a page dirty at a crash, its latest
+   clean->dirty transition T, and C the last checkpoint whose master
+   record was published. Recovery needs a base record for the page (an
+   image, or its Format) at or above C's redo point, and C's truncation
+   keeps everything at or above that. Three facts:
+   1. [Buffer_pool.mark_dirty] flips the dirty bit before this hook runs;
+   2. C publishes its Begin LSN ([publish_begin]) before its write-back
+      lists candidates, and the hook reads it under the same mutex;
+   3. write-back leaves every page that is dirty when listed clean, or
+      raises ([Buffer_pool.write_back]).
+   If T's read of [since] came before C's publication, then by 1 and 2 C's
+   listing saw the page dirty, and by 3 C cleaned it after T — so T was
+   not the latest transition. Hence T read [since] >= C's Begin, and the
+   image T logged, or the one it relied on, has an LSN >= C's Begin >=
+   C's redo point. *)
+let log_image_if_due t f pid page =
+  Mutex.lock f.fpw_mu;
+  let due =
+    match Hashtbl.find_opt f.imaged pid with
+    | Some lsn -> lsn < f.since
+    | None -> true
+  in
+  Mutex.unlock f.fpw_mu;
+  if not due then Atomic.incr t.page_images_skipped
+  else begin
+    let lsn =
+      Log_manager.append !(t.log_ref) ~prev:Lsn.null ~txn:0
+        (Log_record.Page_image
+           { page = pid; image = Bytes.to_string (Page.raw page) })
+    in
+    Mutex.lock f.fpw_mu;
+    Hashtbl.replace f.imaged pid lsn;
+    Mutex.unlock f.fpw_mu;
+    Atomic.incr t.page_images
+  end
+
 let wire_triggers t =
   Txn_mgr.set_on_user_commit t.txns_v (fun () -> maybe_checkpoint t);
-  (* Full-page writes: with log truncation, a page's durable image can be
-     the only copy of its pre-checkpoint history — log the image at each
-     clean→dirty transition so a torn copy stays rebuildable. *)
-  Buffer_pool.set_image_logger t.pool_v
-    (Some
-       (fun pid page ->
-         ignore
-           (Log_manager.append !(t.log_ref) ~prev:Lsn.null ~txn:0
-              (Log_record.Page_image
-                 { page = pid; image = Bytes.to_string (Page.raw page) }))));
+  (* The image table is volatile: a crash drops it, and every page's first
+     transition after restart logs a fresh image. *)
+  let f = fresh_fpw () in
+  t.fpw <- f;
+  Buffer_pool.set_image_logger t.pool_v (Some (log_image_if_due t f));
   (* Dirtied pages take their rec_lsn from the WAL tail (their first
      un-persisted record lands above it); without this, one update to a
      cold or freshly created page floors the checkpoint redo point — and
@@ -347,6 +417,9 @@ let make_skeleton disk log_ref cfg =
       last_ckpt_bytes = 0;
       ckpt_thread = None;
       ckpt_stop = false;
+      fpw = fresh_fpw ();
+      page_images = Atomic.make 0;
+      page_images_skipped = Atomic.make 0;
     }
   in
   wire_triggers t;
@@ -614,4 +687,6 @@ let stats t =
     ckpt_pages_written = t.ckpt_pages;
     ckpt_records_truncated = t.ckpt_records;
     ckpt_bytes_truncated = t.ckpt_bytes;
+    page_images = Atomic.get t.page_images;
+    page_images_skipped = Atomic.get t.page_images_skipped;
   }

@@ -212,6 +212,12 @@ type stats = {
   ckpt_pages_written : int;  (** dirty pages written back by checkpoints *)
   ckpt_records_truncated : int;  (** log records discarded by truncation *)
   ckpt_bytes_truncated : int;  (** log bytes discarded by truncation *)
+  page_images : int;
+      (** full-page images logged: first clean→dirty transition of a page
+          with history after each checkpoint's Begin *)
+  page_images_skipped : int;
+      (** clean→dirty transitions that logged no image because the page
+          already had one at or above the latest Begin *)
 }
 
 val stats : t -> stats

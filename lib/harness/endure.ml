@@ -559,31 +559,6 @@ let remove_dir d =
    with Sys_error _ -> ());
   try Unix.rmdir d with Unix.Unix_error _ -> ()
 
-let env_stats_delta (b : Env.stats) (a : Env.stats) =
-  {
-    Env.pages_allocated = a.Env.pages_allocated - b.Env.pages_allocated;
-    pages_freed = a.Env.pages_freed - b.Env.pages_freed;
-    pages_reused = a.Env.pages_reused - b.Env.pages_reused;
-    completions_run = a.Env.completions_run - b.Env.completions_run;
-    checkpoints = a.Env.checkpoints - b.Env.checkpoints;
-    ckpt_pages_written = a.Env.ckpt_pages_written - b.Env.ckpt_pages_written;
-    ckpt_records_truncated =
-      a.Env.ckpt_records_truncated - b.Env.ckpt_records_truncated;
-    ckpt_bytes_truncated =
-      a.Env.ckpt_bytes_truncated - b.Env.ckpt_bytes_truncated;
-  }
-
-let faults_delta (b : Disk.Faulty.counters) (a : Disk.Faulty.counters) =
-  {
-    Disk.Faulty.torn_writes =
-      a.Disk.Faulty.torn_writes - b.Disk.Faulty.torn_writes;
-    transient_reads = a.Disk.Faulty.transient_reads - b.Disk.Faulty.transient_reads;
-    transient_writes =
-      a.Disk.Faulty.transient_writes - b.Disk.Faulty.transient_writes;
-    bit_flips = a.Disk.Faulty.bit_flips - b.Disk.Faulty.bit_flips;
-    fail_stops = a.Disk.Faulty.fail_stops - b.Disk.Faulty.fail_stops;
-  }
-
 (* The env the rig runs against. Exposed so tests can check the derived
    knobs without a full run. The pool shard count is pinned to the worker
    count rather than left to the [Domain.recommended_domain_count] default:
@@ -822,12 +797,19 @@ let run ?(log = fun _ -> ()) cfg =
     Option.value (Log_manager.file_bytes (Env.log env)) ~default:0
   in
   let after = Stats.of_env ~faults:ctl env in
+  (* Env and fault counters as run deltas; the other components keep
+     their lifetime values. *)
+  let delta =
+    Stats.delta ~after
+      ~before:
+        {
+          Stats.empty with
+          env = Some env_before;
+          faults = Some faults_before;
+        }
+  in
   let stats =
-    {
-      after with
-      Stats.env = Some (env_stats_delta env_before (Env.stats env));
-      faults = Some (faults_delta faults_before (Disk.Faulty.counters ctl));
-    }
+    { after with Stats.env = delta.Stats.env; faults = delta.Stats.faults }
   in
   Env.close env;
   if ephemeral then remove_dir dir;

@@ -96,6 +96,9 @@ let env_delta (before : Env.stats) (after : Env.stats) =
       after.Env.ckpt_records_truncated - before.Env.ckpt_records_truncated;
     ckpt_bytes_truncated =
       after.Env.ckpt_bytes_truncated - before.Env.ckpt_bytes_truncated;
+    page_images = after.Env.page_images - before.Env.page_images;
+    page_images_skipped =
+      after.Env.page_images_skipped - before.Env.page_images_skipped;
   }
 
 (* Injection counters are plain monotone counts, so the delta is exact. *)
@@ -149,10 +152,12 @@ let pp_pool ppf (p : Buffer_pool.stats) =
 let pp_env ppf (e : Env.stats) =
   Fmt.pf ppf
     "env: %d alloc (%d reused) / %d freed pages, %d completions, %d \
-     checkpoints (%d pages written back, %d records / %d bytes truncated)"
+     checkpoints (%d pages written back, %d records / %d bytes truncated), \
+     %d page images (%d skipped)"
     e.Env.pages_allocated e.Env.pages_reused e.Env.pages_freed
     e.Env.completions_run e.Env.checkpoints e.Env.ckpt_pages_written
-    e.Env.ckpt_records_truncated e.Env.ckpt_bytes_truncated
+    e.Env.ckpt_records_truncated e.Env.ckpt_bytes_truncated e.Env.page_images
+    e.Env.page_images_skipped
 
 let pp_faults ppf (f : Disk.Faulty.counters) =
   Fmt.pf ppf
@@ -214,10 +219,12 @@ let env_json b (e : Env.stats) =
   Printf.bprintf b
     "{\"pages_allocated\": %d, \"pages_freed\": %d, \"pages_reused\": %d, \
      \"completions_run\": %d, \"checkpoints\": %d, \"ckpt_pages_written\": \
-     %d, \"ckpt_records_truncated\": %d, \"ckpt_bytes_truncated\": %d}"
+     %d, \"ckpt_records_truncated\": %d, \"ckpt_bytes_truncated\": %d, \
+     \"page_images\": %d, \"page_images_skipped\": %d}"
     e.Env.pages_allocated e.Env.pages_freed e.Env.pages_reused
     e.Env.completions_run e.Env.checkpoints e.Env.ckpt_pages_written
-    e.Env.ckpt_records_truncated e.Env.ckpt_bytes_truncated
+    e.Env.ckpt_records_truncated e.Env.ckpt_bytes_truncated e.Env.page_images
+    e.Env.page_images_skipped
 
 let faults_json b (f : Disk.Faulty.counters) =
   Printf.bprintf b

@@ -31,7 +31,7 @@ type frame = {
   slot : int;
   img_log : (int -> Page.t -> unit) option ref;
       (* shared with the pool: full-page-write hook fired at each
-         clean->dirty transition, before [dirty] is set (see mark_dirty) *)
+         clean->dirty transition, after [dirty] is set (see mark_dirty) *)
   lsn_src : (unit -> int) option ref;
       (* shared with the pool: current WAL tail, consulted at the
          clean->dirty transition of a page with no history (LSN 0), whose
@@ -273,6 +273,27 @@ let try_evict_one t sh =
   done;
   !freed
 
+(* Wait until a [Loading] or [Writing] frame settles: [Ready], or removed
+   or replaced. Entered and left holding [sh.mu]; callers re-look-up. A
+   waiter keeps a [Writing] frame resident: the write-out resurrects it
+   instead of evicting it. *)
+let await_frame sh pid fr =
+  if Pitree_util.Sched_hook.active () then begin
+    Mutex.unlock sh.mu;
+    Pitree_util.Sched_hook.wait Cond
+      (Printf.sprintf "frame-%d" pid)
+      (fun () ->
+        match Hashtbl.find_opt sh.table pid with
+        | Some fr' when fr' == fr -> fr.state = Ready
+        | _ -> true);
+    Mutex.lock sh.mu
+  end
+  else begin
+    fr.waiters <- fr.waiters + 1;
+    Condition.wait fr.cond sh.mu;
+    fr.waiters <- fr.waiters - 1
+  end
+
 (* Invariant for [pin_loop]: entered holding [sh.mu]; returns or raises
    with [sh.mu] unlocked. *)
 let rec pin_loop t sh pid ~read ~attempt =
@@ -290,23 +311,7 @@ let rec pin_loop t sh pid ~read ~attempt =
   | Some fr ->
       (* Loading or Writing: wait on the frame, not the shard, then
          re-lookup (the frame may have been replaced or removed). *)
-      if Pitree_util.Sched_hook.active () then begin
-        Mutex.unlock sh.mu;
-        (* Ready, or removed/replaced after a failed load — either way the
-           re-lookup below resolves it. *)
-        Pitree_util.Sched_hook.wait Cond
-          (Printf.sprintf "frame-%d" pid)
-          (fun () ->
-            match Hashtbl.find_opt sh.table pid with
-            | Some fr' when fr' == fr -> fr.state = Ready
-            | _ -> true);
-        Mutex.lock sh.mu
-      end
-      else begin
-        fr.waiters <- fr.waiters + 1;
-        Condition.wait fr.cond sh.mu;
-        fr.waiters <- fr.waiters - 1
-      end;
+      await_frame sh pid fr;
       pin_loop t sh pid ~read ~attempt
   | None ->
       if sh.used >= t.shard_cap then begin
@@ -462,13 +467,6 @@ let repin _t fr =
    page is already in every dirty-page snapshot. *)
 let mark_dirty fr =
   if not fr.dirty then begin
-    (* Full-page write: a clean page with history (LSN > 0) has a durable
-       image that is about to become the only copy of everything below
-       rec_lsn once the log is truncated past it — capture the image in the
-       log first, so a torn durable copy can still be rebuilt. Fired before
-       [dirty] flips and before the caller's update record, under the
-       caller's X latch, so the image is the exact pre-update durable
-       state. Freshly created pages (LSN 0) have no history to protect. *)
     (* At the clean->dirty instant the durable image holds every update the
        page has ever seen, so the first record NOT yet in it is the one the
        caller is about to append — which lands strictly above the current
@@ -482,19 +480,30 @@ let mark_dirty fr =
        the log never shrinks. Same for freshly created pages (LSN 0), whose
        fallback rec_lsn of 1 floors truncation at the log origin.
 
-       Read the tail BEFORE logging the full-page image: the image is
-       appended after the read, so image LSN >= rec_lsn and truncation
-       keeps the image exactly as long as the page needs it. *)
+       Read the tail BEFORE the full-page-write hook runs: an image it
+       logs is appended after the read, so image LSN >= rec_lsn and
+       truncation keeps the image exactly as long as the page needs it. *)
     let bound =
       match !(fr.lsn_src) with
       | Some tail -> tail () + 1
       | None -> Page.lsn fr.page + 1
     in
-    (match !(fr.img_log) with
-    | Some logf when Page.lsn fr.page > 0 -> logf fr.pid fr.page
-    | _ -> ());
     fr.rec_lsn <- bound;
-    fr.dirty <- true
+    fr.dirty <- true;
+    (* Full-page write: a clean page with history (LSN > 0) has a durable
+       image that is about to become the only copy of everything below
+       rec_lsn once the log is truncated past it; the hook decides whether
+       the log already holds a recent enough image of it, and logs one if
+       not. It runs AFTER [dirty] flips: a checkpoint that lists dirty
+       pages after the hook's decision then writes this page back, so a
+       decision that missed the checkpoint's Begin is always covered by
+       its write-back (see Env's full-page-write rule). Still under the
+       caller's X latch and before the caller's update record, so an image
+       is the exact pre-update durable state. Freshly created pages (LSN 0)
+       have no history to protect. *)
+    match !(fr.img_log) with
+    | Some logf when Page.lsn fr.page > 0 -> logf fr.pid fr.page
+    | _ -> ()
   end
 
 let set_image_logger t hook = t.img_log := hook
@@ -566,13 +575,22 @@ let write_back t =
       List.iter
         (fun pid ->
           Mutex.lock sh.mu;
-          let fr =
+          (* An eviction already writing the page either cleans it or, if
+             its write fails, leaves it dirty and [Ready] again: wait to
+             see which, so that every page dirty when listed leaves here
+             clean (or the write-back raises). The full-page-write rule
+             relies on it. *)
+          let rec settle () =
             match Hashtbl.find_opt sh.table pid with
+            | Some fr when fr.state = Writing ->
+                await_frame sh pid fr;
+                settle ()
             | Some fr when fr.state = Ready && fr.dirty ->
                 Atomic.incr fr.pins;
                 Some fr
             | _ -> None
           in
+          let fr = settle () in
           Mutex.unlock sh.mu;
           match fr with
           | None -> ()

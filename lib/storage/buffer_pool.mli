@@ -133,22 +133,33 @@ val repin : t -> frame -> unit
 val mark_dirty : frame -> unit
 (** Record that the page is about to diverge from its durable image. Call
     BEFORE mutating the page (and before appending the log record for the
-    change), while holding the frame's X latch: the clean→dirty transition
-    captures [rec_lsn] from the installed {!set_lsn_source} WAL tail (or
-    the page's current LSN without one), which is only a sound redo lower
-    bound if the page has not yet been touched. If an image
-    logger is installed (see {!set_image_logger}), the transition also
-    logs a full-page write of the pre-update image. *)
+    change), while holding the frame's X latch. The clean→dirty transition
+    runs in this order:
+    + sample [rec_lsn] from the installed {!set_lsn_source} WAL tail (or
+      the page's current LSN without one) — only a sound redo lower bound
+      if the page has not yet been touched;
+    + set the dirty bit;
+    + call the image logger, if one is installed (see
+      {!set_image_logger}) and the page has history (LSN > 0).
+
+    The order is part of the contract: by the time the logger decides
+    whether the page needs a full-page image, the page is already visible
+    to every later dirty-page listing, so a checkpoint the decision misses
+    writes the page back. *)
 
 val set_image_logger : t -> (int -> Page.t -> unit) option -> unit
 (** Install (or clear) the full-page-write hook fired at each clean→dirty
-    transition of a page with history (LSN > 0), before the dirty bit
-    flips. The environment wires this to append a [Page_image] log record:
-    its LSN necessarily exceeds the frame's [rec_lsn], so it survives any
-    log truncation that keeps the page recoverable — a torn durable image
-    can then be rebuilt from the logged image plus the retained suffix,
-    even though the page's older history has been truncated. Recovery
-    disables the hook during redo (replaying history must not re-log it). *)
+    transition of a page with history (LSN > 0), after the dirty bit flips
+    and before the caller's first update record. The hook receives the
+    page id and the exact pre-update image. The environment wires this to
+    its full-page-write rule: append a [Page_image] log record unless the
+    log already holds an image of the page at or above the latest
+    [Begin_checkpoint]. Either way the page keeps a base record at or
+    above the redo point of any checkpoint that can see it dirty, so a
+    torn durable image can be rebuilt from that base plus the retained
+    suffix, even though the page's older history has been truncated.
+    Recovery disables the hook during redo (replaying history must not
+    re-log it). *)
 
 val image_logger : t -> (int -> Page.t -> unit) option
 (** The currently installed full-page-write hook. *)
@@ -163,8 +174,8 @@ val set_lsn_source : t -> (unit -> int) option -> unit
     (hence the truncation point) below the retained log — under steady
     traffic over a large key space the log then never shrinks, and a
     freshly created page (LSN 0) floors it at the origin outright. The
-    tail is sampled before the full-page image is logged, keeping
-    [rec_lsn] at or below the image's LSN. The environment wires this to
+    tail is sampled before the image logger runs, keeping [rec_lsn] at or
+    below the LSN of any image it logs. The environment wires this to
     [Log_manager.last_lsn]; recovery disables it during redo alongside
     the image logger (rebuilt pages are flushed before restart completes,
     so their conservative rec_lsn dies with the dirty bit). *)
@@ -195,7 +206,10 @@ val write_back : t -> int
     dirty frame one at a time, holding only that page's S latch (and no
     shard mutex) across the I/O — readers proceed, writers wait at most
     one page write. Frames that vanish or go clean concurrently are
-    skipped. Returns the number of pages written. *)
+    skipped; a frame an eviction is writing out is waited for, and written
+    here if that write-out failed. So every page dirty when its shard is
+    listed is clean on return, unless write-back raises. Returns the
+    number of pages written. *)
 
 val crash_flush : t -> unit
 (** Power-failure image dump for crash simulation: write every dirty

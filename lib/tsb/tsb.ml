@@ -650,8 +650,8 @@ let logical_undo t ~comp ~txn ~prev ~undo_next =
   let fr = descend t ~ckey ~target:0 ~mode:Latch.U in
   let p = page fr in
   let apply_clr op =
-    (* Dirty (and log the full-page image) before the CLR is appended:
-       the image must precede every record it covers. *)
+    (* Dirty (logging the full-page image if one is due) before the CLR
+       is appended: the image must precede every record it covers. *)
     Buffer_pool.mark_dirty fr;
     let lsn =
       Log_manager.append (Env.log t.env) ~prev ~txn:txn

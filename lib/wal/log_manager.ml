@@ -550,6 +550,9 @@ let max_txn_id t =
    durable, pre-redo-point records may go (the clamp is the safety net for
    the documented contract: truncation never removes records at or above
    the redo point, nor records a group-commit leader has yet to write).
+   The last durable record always survives too: a reopened file numbers
+   its records from its first frame's LSN, so an emptied file would
+   restart the LSN sequence at 1.
    The store is rewritten to hold just the surviving durable window (see
    [store_rewrite]); the volatile tail was never in it. Returns how many
    records were discarded. *)
@@ -561,7 +564,7 @@ let truncate t ~keep_from =
   while t.flushing do
     Condition.wait t.cond t.mu
   done;
-  let keep_from = min keep_from (min (t.durable + 1) t.redo_from) in
+  let keep_from = min keep_from (min t.durable t.redo_from) in
   let n = max 0 (keep_from - 1 - t.purged) in
   if n > 0 then begin
     let keep_off = start_of t keep_from in

@@ -85,7 +85,9 @@ val set_checkpoint : t -> lsn:Lsn.t -> redo:Lsn.t -> unit
 
 val truncate : t -> keep_from:Lsn.t -> int
 (** Discard records with LSN below [keep_from] and reclaim their space,
-    clamped so that nothing undurable or at/after the redo floor is lost;
+    clamped so that nothing undurable or at/after the redo floor is lost,
+    and so that the last durable record survives (a reopened log takes its
+    LSN sequence from the first surviving frame, so it never restarts);
     the caller must also keep everything the oldest active transaction
     could still undo (see [Txn_mgr.oldest_first_lsn]). Returns the number
     of records discarded. Reading a truncated LSN raises

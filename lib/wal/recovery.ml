@@ -197,10 +197,10 @@ let run ~log ~pool =
      page that does not hold the state they assume (the observed failure:
      Replace_slot on an empty page). The page the orphans describe is
      covered by the base that must follow in the scan — a lost page was
-     dirty at the crash, and its last clean->dirty transition logged a
-     full-page image (or its Format is retained, for pages dirty since
-     birth: their rec_lsn — the WAL tail at creation — floors truncation
-     at or below the Format) at or above the redo point. *)
+     dirty at the crash, so its latest base record (a full-page image, or
+     its Format for pages dirty since birth: their rec_lsn — the WAL tail
+     at creation — floors truncation at or below the Format) lies at or
+     above the redo point (Env's full-page-write rule guarantees it). *)
   let rebuilding : (int, unit) Hashtbl.t = Hashtbl.create 8 in
   Log_manager.iter_from log redo_from (fun r ->
       let apply ~base page mutate =
@@ -318,8 +318,9 @@ let run ~log ~pool =
      above were dirtied with the image logger suppressed, so their old —
      possibly torn — durable images are not protected by a logged full-page
      write. Writing them back makes every durable image valid again; the
-     next clean→dirty transition then logs a fresh image, restoring
-     torn-page protection for the next crash. *)
+     next clean→dirty transition then logs a fresh image (the restarted
+     environment's image table is empty), restoring torn-page protection
+     for the next crash. *)
   Buffer_pool.flush_all pool;
   let pool_stats_after = Buffer_pool.stats pool in
   {

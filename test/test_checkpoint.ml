@@ -224,7 +224,8 @@ let test_open_from_after_truncation () =
 
 (* A torn durable image after truncation: the page's pre-checkpoint history
    is no longer in the log, so rebuilding it depends on the full-page-write
-   record logged at its clean→dirty transition. Without full-page writes
+   record logged at its first clean→dirty transition after the checkpoint.
+   Without full-page writes
    redo would apply slot operations to an empty page and die (or lose the
    page); with them, every committed update survives. *)
 let test_torn_page_after_truncation () =
@@ -240,7 +241,8 @@ let test_torn_page_after_truncation () =
   Env.checkpoint ~mode:`Fuzzy env;
   Alcotest.(check bool) "history truncated" true
     (Log_manager.first_lsn (Env.log env) > 1);
-  (* Re-dirty the pages: each clean→dirty transition must log an image. *)
+  (* Re-dirty the pages: the first clean→dirty transition of each page
+     after the checkpoint's Begin must log an image. *)
   for i = 0 to 399 do
     Blink.insert t ~key:(Printf.sprintf "k%05d" i) ~value:"v2"
   done;
@@ -293,6 +295,208 @@ let test_ckpt_stats () =
   Alcotest.(check bool) "records truncated" true
     (s1.Env.ckpt_records_truncated > s0.Env.ckpt_records_truncated)
 
+(* --- full-page writes: one image per page per checkpoint interval --- *)
+
+module Buffer_pool = Pitree_storage.Buffer_pool
+module Log_record = Pitree_wal.Log_record
+
+(* A pool of 24 frames in one shard under a tree of ~100 leaves: a sweep of
+   reads over the other keys evicts any page the sweep does not touch. *)
+let fpw_cfg = { cfg with pool_capacity = 24; pool_shards = Some 1 }
+let fpw_keys = 800
+let fpw_key i = Printf.sprintf "k%05d" i
+
+(* A tree over [fpw_keys] keys, every page clean after a sharp checkpoint;
+   returns the env, the tree and the leaf holding key 0. *)
+let fpw_setup ?disk () =
+  let env = Env.create ?disk fpw_cfg in
+  let t = Blink.create env ~name:"t" in
+  let mgr = Env.txns env in
+  let txn = ref (Txn_mgr.begin_txn mgr Txn.User) in
+  for i = 0 to fpw_keys - 1 do
+    Blink.insert ~txn:!txn t ~key:(fpw_key i) ~value:"v0";
+    if i mod 100 = 99 then begin
+      Txn_mgr.commit mgr !txn;
+      txn := Txn_mgr.begin_txn mgr Txn.User
+    end
+  done;
+  Txn_mgr.commit mgr !txn;
+  ignore (Env.drain env);
+  Env.checkpoint env;
+  let fr = Blink.Internal.leaf_for t (fpw_key 0) in
+  let leaf = fr.Buffer_pool.pid in
+  Blink.Internal.release_s t fr;
+  (env, t, leaf)
+
+(* Overwrite key 0 in a committed user transaction. *)
+let fpw_write env t v =
+  let mgr = Env.txns env in
+  let txn = Txn_mgr.begin_txn mgr Txn.User in
+  Blink.insert ~txn t ~key:(fpw_key 0) ~value:v;
+  Txn_mgr.commit mgr txn
+
+(* Read the keys past the first few: pulls far more leaves than the pool
+   holds through it, evicting the leaf of key 0 ([fpw_cycles] checks that
+   it did). *)
+let fpw_evict t =
+  for i = fpw_keys / 2 to fpw_keys - 1 do
+    ignore (Blink.find t (fpw_key i))
+  done;
+  for i = fpw_keys / 2 - 1 downto 16 do
+    ignore (Blink.find t (fpw_key i))
+  done
+
+(* Clean→dirty transitions of pages with history, whether imaged or not. *)
+let transitions env =
+  let s = Env.stats env in
+  s.Env.page_images + s.Env.page_images_skipped
+
+let images_of env pid =
+  let log = Env.log env in
+  let l = ref [] in
+  Log_manager.iter_from log (Log_manager.first_lsn log) (fun r ->
+      match r.Log_record.body with
+      | Log_record.Page_image { page; _ } when page = pid ->
+          l := r.Log_record.lsn :: !l
+      | _ -> ());
+  List.rev !l
+
+let last_begin env =
+  let log = Env.log env in
+  match (Log_manager.read log (Log_manager.checkpoint_lsn log)).Log_record.body with
+  | Log_record.End_checkpoint { begin_lsn; _ } -> begin_lsn
+  | _ -> Alcotest.fail "checkpoint LSN is not an End_checkpoint"
+
+(* Dirty the leaf, evict it, repeat: each re-dirtying is a clean→dirty
+   transition, and only the first one in the checkpoint interval logs an
+   image. *)
+let fpw_cycles env t k =
+  for round = 1 to k do
+    let before = transitions env in
+    fpw_write env t (Printf.sprintf "v%d" round);
+    Alcotest.(check int)
+      (Printf.sprintf "round %d dirtied a clean leaf" round)
+      (before + 1) (transitions env);
+    fpw_evict t
+  done
+
+let test_fpw_once_per_interval () =
+  let env, t, leaf = fpw_setup () in
+  let s0 = Env.stats env in
+  fpw_cycles env t 5;
+  let s1 = Env.stats env in
+  Alcotest.(check int) "one image in the interval" 1
+    (s1.Env.page_images - s0.Env.page_images);
+  Alcotest.(check int) "four transitions skipped" 4
+    (s1.Env.page_images_skipped - s0.Env.page_images_skipped);
+  (match images_of env leaf with
+  | [ lsn ] ->
+      Alcotest.(check bool) "the image follows the Begin" true
+        (lsn > last_begin env)
+  | l -> Alcotest.failf "expected one image of page %d, got %d" leaf (List.length l));
+  (* The next checkpoint's Begin makes the page due again. *)
+  Env.checkpoint ~mode:`Fuzzy env;
+  let b = last_begin env in
+  fpw_cycles env t 3;
+  let fresh = List.filter (fun lsn -> lsn > b) (images_of env leaf) in
+  Alcotest.(check int) "one new image after the next Begin" 1
+    (List.length fresh);
+  Alcotest.(check int) "six skipped in all" 6
+    ((Env.stats env).Env.page_images_skipped - s0.Env.page_images_skipped)
+
+(* Tear every dirty page on the way down, recover, and check the tree: every
+   committed value back, structure well-formed. *)
+let tear_and_recover env ctl ~expect =
+  Log_manager.flush_all (Env.log env);
+  Disk.Faulty.set_plan ctl
+    { Disk.Faulty.no_faults with Disk.Faulty.torn_write = 1.0; protected_pids = [ 1 ] };
+  Buffer_pool.crash_flush (Env.pool env);
+  Alcotest.(check bool) "the leaf tore" true
+    ((Disk.Faulty.counters ctl).Disk.Faulty.torn_writes > 0);
+  Disk.Faulty.set_plan ctl Disk.Faulty.no_faults;
+  Env.crash env;
+  let report = Env.recover env in
+  Alcotest.(check bool) "torn page rebuilt" true (report.Recovery.torn_pages > 0);
+  let t = Option.get (Blink.open_existing env ~name:"t") in
+  Alcotest.(check bool) "well-formed" true (Wellformed.ok (Blink.verify t));
+  for i = 0 to fpw_keys - 1 do
+    Alcotest.(check (option string)) (fpw_key i)
+      (Some (if i = 0 then expect else "v0"))
+      (Blink.find t (fpw_key i))
+  done
+
+(* A torn page whose latest transition logged no image is rebuilt from the
+   image of an earlier transition in the same interval. *)
+let test_fpw_torn_after_skip () =
+  let disk, ctl = Disk.Faulty.wrap ~seed:9L (Disk.in_memory ~page_size:256) in
+  let env, t, _ = fpw_setup ~disk () in
+  fpw_cycles env t 2;
+  let skipped = (Env.stats env).Env.page_images_skipped in
+  fpw_write env t "v3";
+  Alcotest.(check int) "the last transition skipped its image" (skipped + 1)
+    (Env.stats env).Env.page_images_skipped;
+  tear_and_recover env ctl ~expect:"v3"
+
+(* The race the order inside [Buffer_pool.mark_dirty] closes: a transition
+   decides to skip its image, then a fuzzy checkpoint appends its Begin
+   before the transition's update lands. The dirty bit flipped before the
+   decision, so the checkpoint's write-back sees the page and cleans it;
+   the page's next transition then logs an image above the new Begin. Were
+   the decision taken before the flip, the checkpoint would miss the page,
+   publish a redo point above its only image, truncate that image, and the
+   tear below would be unrecoverable. *)
+let test_fpw_race_with_checkpoint () =
+  let disk, ctl = Disk.Faulty.wrap ~seed:10L (Disk.in_memory ~page_size:256) in
+  let env, t, leaf = fpw_setup ~disk () in
+  fpw_cycles env t 1;
+  let log = Env.log env in
+  let pool = Env.pool env in
+  let real = Option.get (Buffer_pool.image_logger pool) in
+  let parked = Atomic.make false and ckpt_done = Atomic.make false in
+  let mark = Log_manager.last_lsn log in
+  let begin_logged () =
+    let found = ref false in
+    for lsn = mark + 1 to Log_manager.last_lsn log do
+      match (Log_manager.read log lsn).Log_record.body with
+      | Log_record.Begin_checkpoint -> found := true
+      | _ -> ()
+    done;
+    !found
+  in
+  (* Park the mutator after the logger's decision until the checkpoint has
+     logged its Begin, then until it finishes (or, when it waits on this
+     page's latch, for a while). *)
+  Buffer_pool.set_image_logger pool
+    (Some
+       (fun pid page ->
+         real pid page;
+         if pid = leaf && not (Atomic.get parked) then begin
+           Atomic.set parked true;
+           while not (begin_logged ()) do
+             Thread.delay 0.001
+           done;
+           let deadline = Unix.gettimeofday () +. 0.3 in
+           while (not (Atomic.get ckpt_done)) && Unix.gettimeofday () < deadline do
+             Thread.delay 0.001
+           done
+         end));
+  let ckpt =
+    Domain.spawn (fun () ->
+        while not (Atomic.get parked) do
+          Thread.delay 0.001
+        done;
+        Env.checkpoint ~mode:`Fuzzy env;
+        Atomic.set ckpt_done true)
+  in
+  let skipped = (Env.stats env).Env.page_images_skipped in
+  fpw_write env t "v2";
+  Domain.join ckpt;
+  Buffer_pool.set_image_logger pool (Some real);
+  Alcotest.(check int) "the parked transition skipped its image" (skipped + 1)
+    (Env.stats env).Env.page_images_skipped;
+  fpw_write env t "v3";
+  tear_and_recover env ctl ~expect:"v3"
+
 let suites =
   [
     ( "checkpoint",
@@ -310,5 +514,14 @@ let suites =
         Alcotest.test_case "open_from requires log_path" `Quick
           test_open_from_requires_log_path;
         Alcotest.test_case "checkpoint stats" `Quick test_ckpt_stats;
+      ] );
+    ( "checkpoint.fpw",
+      [
+        Alcotest.test_case "one image per page per interval" `Quick
+          test_fpw_once_per_interval;
+        Alcotest.test_case "torn page after a skipped image" `Quick
+          test_fpw_torn_after_skip;
+        Alcotest.test_case "transition racing a checkpoint's Begin" `Quick
+          test_fpw_race_with_checkpoint;
       ] );
   ]

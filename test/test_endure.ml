@@ -352,6 +352,30 @@ let test_rec_lsn_from_wal_tail () =
     (Buffer_pool.dirty_pages pool);
   Buffer_pool.unpin pool fr
 
+(* The clean→dirty transition samples rec_lsn and sets the dirty bit
+   before the full-page-write hook runs: a checkpoint whose Begin the
+   hook's decision missed must find the page dirty when it lists
+   write-back candidates. *)
+let test_image_hook_after_dirty_flip () =
+  let pool =
+    Buffer_pool.create ~capacity:8 ~shards:1
+      ~disk:(Disk.in_memory ~page_size:256)
+      ~wal_flush:(fun _ -> ())
+      ()
+  in
+  Buffer_pool.set_lsn_source pool (Some (fun () -> 41));
+  let seen = ref None in
+  Buffer_pool.set_image_logger pool
+    (Some (fun _ _ -> seen := Some (Buffer_pool.dirty_pages pool)));
+  let fr = Buffer_pool.pin_new pool 2 in
+  Pitree_storage.Page.set_lsn fr.Buffer_pool.page 7;
+  Buffer_pool.mark_dirty fr;
+  Alcotest.(check (option (list (pair int int))))
+    "the hook sees the page dirty, with its rec_lsn"
+    (Some [ (2, 42) ])
+    !seen;
+  Buffer_pool.unpin pool fr
+
 (* Miniature end-to-end run: one crash cycle, faults on, a few seconds of
    mixed load over a small key space. Every SLO must hold and the JSON
    document must carry the per-kind p999 and fault counters CI parses. *)
@@ -379,7 +403,13 @@ let test_endure_smoke () =
   List.iter
     (fun needle ->
       Alcotest.(check bool) (needle ^ " in JSON") true (contains json needle))
-    [ "\"p999_ns\""; "\"faults\""; "\"slos\""; "\"passed\": true" ]
+    [
+      "\"p999_ns\"";
+      "\"faults\"";
+      "\"slos\"";
+      "\"passed\": true";
+      "\"page_images_skipped\"";
+    ]
 
 let suites =
   [
@@ -399,6 +429,8 @@ let suites =
           test_backoff_jitter;
         Alcotest.test_case "rec_lsn from WAL tail" `Quick
           test_rec_lsn_from_wal_tail;
+        Alcotest.test_case "image hook after the dirty flip" `Quick
+          test_image_hook_after_dirty_flip;
         Alcotest.test_case "endure smoke" `Slow test_endure_smoke;
       ] );
   ]

@@ -118,6 +118,8 @@ let test_waiters_all_released () =
   let env = Env.create cfg in
   let t = Blink.create env ~name:"t" in
   let mgr = Env.txns env in
+  let log = Env.log env in
+  let requests_before = (Log_manager.stats log).Log_manager.flush_requests in
   let handles =
     List.init 4 (fun d ->
         Domain.spawn (fun () ->
@@ -126,15 +128,20 @@ let test_waiters_all_released () =
             done))
   in
   List.iter Domain.join handles;
-  let log = Env.log env in
   (* Every commit's flush returned, so only End records appended after the
      chronologically last flush (at most one per domain) can be volatile. *)
   Alcotest.(check bool) "durable horizon covers all commits" true
     (Log_manager.flushed_lsn log >= Log_manager.last_lsn log - 4);
   let s = Log_manager.stats log in
   Alcotest.(check int) "in-memory storm: zero real fsyncs" 0 s.Log_manager.forces;
-  Alcotest.(check bool) "requests were served" true
-    (s.Log_manager.flush_requests >= 400)
+  (* A commit whose record another committer's batch already made durable
+     returns without enrolling, so the storm's 400 commits make between 1
+     and 400 flush requests — how many depends on the interleaving. *)
+  let requests = s.Log_manager.flush_requests - requests_before in
+  Alcotest.(check bool)
+    (Printf.sprintf "requests were served (%d for 400 commits)" requests)
+    true
+    (requests >= 1 && requests <= 400)
 
 let suites =
   [

@@ -522,6 +522,54 @@ let test_pool_flush_all_vs_mutator () =
       Buffer_pool.unpin pool2 fr)
     live
 
+(* Write-back meets a page an eviction is writing out, and that write-out
+   fails: the page is dirty again, and write-back must write it rather
+   than skip it — every page dirty when listed leaves write-back clean
+   (the full-page-write rule counts on it). *)
+let test_write_back_covers_failed_eviction () =
+  let inner = Disk.in_memory ~page_size:256 in
+  let entered = Atomic.make false and release = Atomic.make false in
+  let fail_next = Atomic.make true in
+  let disk =
+    {
+      inner with
+      Disk.write =
+        (fun pid buf ->
+          if pid = 2 && Atomic.get fail_next then begin
+            Atomic.set entered true;
+            while not (Atomic.get release) do
+              Thread.delay 0.001
+            done;
+            Atomic.set fail_next false;
+            raise (Disk.Disk_error { pid; op = "write"; transient = false })
+          end
+          else inner.Disk.write pid buf);
+    }
+  in
+  let pool =
+    Buffer_pool.create ~capacity:8 ~shards:1 ~disk ~wal_flush:(fun _ -> ()) ()
+  in
+  ignore (write_page pool 2 "x");
+  (* Pin every other frame so page 2 is the only eviction victim. *)
+  let held = List.init 7 (fun i -> Buffer_pool.pin_new pool (3 + i)) in
+  let evictor =
+    Domain.spawn (fun () ->
+        match Buffer_pool.pin_new pool 10 with
+        | fr -> Buffer_pool.unpin pool fr; false
+        | exception Disk.Disk_error _ -> true)
+  in
+  while not (Atomic.get entered) do
+    Thread.delay 0.001
+  done;
+  let flusher = Domain.spawn (fun () -> Buffer_pool.write_back pool) in
+  Thread.delay 0.05;
+  Atomic.set release true;
+  Alcotest.(check bool) "the eviction's write failed" true (Domain.join evictor);
+  Alcotest.(check int) "write-back wrote the page" 1 (Domain.join flusher);
+  Alcotest.(check (list (pair int int))) "nothing left dirty" []
+    (Buffer_pool.dirty_pages pool);
+  List.iter (Buffer_pool.unpin pool) held
+
 let suites =
   [
     ( "storage.page",
@@ -566,5 +614,7 @@ let suites =
           test_pool_storm_single;
         Alcotest.test_case "flush_all vs mutators" `Quick
           test_pool_flush_all_vs_mutator;
+        Alcotest.test_case "write_back covers a failed eviction" `Quick
+          test_write_back_covers_failed_eviction;
       ] );
   ]
