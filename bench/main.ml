@@ -17,7 +17,7 @@ module Log_manager = Pitree_wal.Log_manager
 module Recovery = Pitree_wal.Recovery
 module Crash_point = Pitree_util.Crash_point
 module Wellformed = Pitree_core.Wellformed
-module Kv = Pitree_harness.Kv
+module Engine = Pitree_core.Engine
 module Workload = Pitree_harness.Workload
 module Driver = Pitree_harness.Driver
 module Endure = Pitree_harness.Endure
@@ -29,7 +29,6 @@ module Combine = Pitree_combine.Combine
 module Page = Pitree_storage.Page
 module Disk = Pitree_storage.Disk
 module Buffer_pool = Pitree_storage.Buffer_pool
-module Engine = Pitree_core.Engine
 module Blink_engine = Pitree_blink.Blink_engine
 module Tsb_engine = Pitree_tsb.Tsb_engine
 module Mvcc = Pitree_txn.Mvcc
@@ -70,9 +69,9 @@ let instance engine =
   let env = mk_env () in
   let inst =
     match engine with
-    | Eblink -> Kv.blink (Blink.create env ~name:"bench")
-    | Ecoupling -> Kv.coupling (Btc.create env ~name:"bench")
-    | Etreelatch -> Kv.treelatch (Btl.create env ~name:"bench")
+    | Eblink -> Pitree_blink.Blink_engine.inst (Blink.create env ~name:"bench")
+    | Ecoupling -> Pitree_baseline.Bt_coupling_engine.inst (Btc.create env ~name:"bench")
+    | Etreelatch -> Pitree_baseline.Bt_treelatch_engine.inst (Btl.create env ~name:"bench")
   in
   (env, inst)
 
@@ -96,7 +95,7 @@ let scaling_experiment ~title ~spec ~preload ~ops =
             let r = Driver.run ~domains ~ops_per_domain:(ops / domains) ~seed:42L inst spec in
             ignore (Env.drain env);
             [
-              Kv.name inst;
+              Engine.name inst;
               string_of_int domains;
               fmt_ops r.Driver.ops_per_s;
               Printf.sprintf "%.0f" r.Driver.mean_ns;
@@ -148,7 +147,7 @@ let e4 () =
         let s = Latch.global_stats () in
         let per_op v = float_of_int v /. float_of_int ops in
         [
-          Kv.name inst;
+          Engine.name inst;
           fmt_ops r.Driver.ops_per_s;
           Printf.sprintf "%.2f" (per_op s.Latch.acquisitions);
           Printf.sprintf "%.3f" (per_op s.Latch.contended);
@@ -519,7 +518,7 @@ let e12 () =
     let env = mk_env ~page_size:512 ~page_oriented_undo:true () in
     let t = Blink.create env ~name:"t" in
     Blink.set_move_granularity t granularity;
-    let inst = Kv.blink t in
+    let inst = Pitree_blink.Blink_engine.inst t in
     let spec =
       Workload.spec ~key_space:20_000 ~read_pct:20 ~insert_pct:70 ~delete_pct:10
         ~dist:(Workload.Zipf 0.9) ()
@@ -599,7 +598,7 @@ let e14 () =
             ignore (Env.drain env);
             [
               (if theta = 0.0 then "uniform" else Printf.sprintf "zipf %.2f" theta);
-              Kv.name inst;
+              Engine.name inst;
               fmt_ops r.Driver.ops_per_s;
               string_of_int r.Driver.p99_ns;
             ])
@@ -1047,8 +1046,7 @@ let pool_smoke () =
 (* ------------------------------------------------------------------ *)
 (* Fuzzy checkpoints: restart work bounded by work-since-checkpoint (not
    total history), log file space reclaimed by truncation, and the
-   reader-observed write-back stall of sharp vs fuzzy modes. Emits
-   BENCH_ckpt.json.                                                      *)
+   reader-observed write-back stall. Emits BENCH_ckpt.json.              *)
 (* ------------------------------------------------------------------ *)
 
 type ckpt_run = {
@@ -1111,11 +1109,10 @@ let ckpt_history_run ~fuzzy ~history =
       })
 
 (* Reader-observed stall: two domains run point reads while one explicit
-   checkpoint per round writes back freshly dirtied pages. Sharp write-back
-   holds each shard's mutex across its flushes, so concurrent pins block;
-   fuzzy write-back holds only one page's S latch at a time. (Writers are
-   quiesced during the checkpoint itself — sharp mode requires that.) *)
-let ckpt_stall_run ~mode ~rounds ~dirty_per_round =
+   checkpoint per round writes back freshly dirtied pages. Write-back
+   holds one page's S latch at a time and no shard mutex across I/O, so a
+   reader waits for at most one page write. *)
+let ckpt_stall_run ~rounds ~dirty_per_round =
   let env = mk_env ~page_size:512 ~pool:8192 () in
   let t = Blink.create env ~name:"stall" in
   for i = 0 to 9_999 do
@@ -1151,7 +1148,7 @@ let ckpt_stall_run ~mode ~rounds ~dirty_per_round =
               (!worst, !n)))
     in
     let t0 = Unix.gettimeofday () in
-    Env.checkpoint ~mode env;
+    Env.checkpoint env;
     ckpt_s := !ckpt_s +. (Unix.gettimeofday () -. t0);
     Atomic.set running false;
     List.iter
@@ -1161,7 +1158,7 @@ let ckpt_stall_run ~mode ~rounds ~dirty_per_round =
         finds := !finds + n)
       readers
   done;
-  ( (match mode with `Sharp -> "sharp" | `Fuzzy -> "fuzzy"),
+  ( "fuzzy",
     rounds,
     !ckpt_s,
     !max_find_ns,
@@ -1242,10 +1239,7 @@ let ckpt_impl ~histories ~stall_rounds ~stall_dirty ~out () =
          ])
        runs);
   let stalls =
-    List.map
-      (fun mode ->
-        ckpt_stall_run ~mode ~rounds:stall_rounds ~dirty_per_round:stall_dirty)
-      [ `Sharp; `Fuzzy ]
+    [ ckpt_stall_run ~rounds:stall_rounds ~dirty_per_round:stall_dirty ]
   in
   Table.print
     ~title:
@@ -1377,7 +1371,7 @@ type olc_run = {
 let olc_storm ~olc_reads ~workload ~spec ~domains ~ops_per_domain ~preload =
   let env = mk_env ~olc_reads () in
   let t = Blink.create env ~name:"bench" in
-  let inst = Kv.blink t in
+  let inst = Pitree_blink.Blink_engine.inst t in
   Driver.preload inst spec ~n:preload;
   ignore (Env.drain env);
   let s0 = Blink.stats t in
@@ -1548,7 +1542,7 @@ let combine_storm ~combine ~window_us ~slots ~page_size ~domains
       }
   in
   let t = Blink.create env ~name:"bench" in
-  let inst = Kv.blink t in
+  let inst = Pitree_blink.Blink_engine.inst t in
   let spec =
     Workload.spec ~key_space ~read_pct:0 ~insert_pct:100
       ~dist:(Workload.Zipf 0.99) ()

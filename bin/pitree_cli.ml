@@ -19,7 +19,6 @@ module Env = Pitree_env.Env
 module Blink = Pitree_blink.Blink
 module Wellformed = Pitree_core.Wellformed
 module Crash_point = Pitree_util.Crash_point
-module Kv = Pitree_harness.Kv
 module Workload = Pitree_harness.Workload
 module Driver = Pitree_harness.Driver
 
@@ -174,7 +173,7 @@ let workload domains ops reads inserts deletes zipf no_combine =
       }
   in
   let t = Blink.create env ~name:"t" in
-  let inst = Kv.blink t in
+  let inst = Pitree_blink.Blink_engine.inst t in
   let dist = if zipf > 0.0 then Workload.Zipf zipf else Workload.Uniform in
   let spec =
     Workload.spec ~key_space:100_000 ~read_pct:reads ~insert_pct:inserts

@@ -3,7 +3,6 @@ module Buffer_pool = Pitree_storage.Buffer_pool
 module Latch = Pitree_sync.Latch
 module Version = Pitree_sync.Version
 module Olc = Pitree_storage.Olc
-module Latch_order = Pitree_sync.Latch_order
 module Page_op = Pitree_wal.Page_op
 module Lsn = Pitree_wal.Lsn
 module Log_record = Pitree_wal.Log_record
@@ -20,6 +19,7 @@ module Env = Pitree_env.Env
 module Saved_path = Pitree_core.Saved_path
 module Wellformed = Pitree_core.Wellformed
 module Keyspace = Pitree_core.Keyspace
+module Traversal = Pitree_core.Traversal
 
 (* Every Crash_point.hit site in this engine, pre-registered so sweep
    harnesses can enumerate them before any fires. *)
@@ -66,8 +66,6 @@ type counters = {
   c_leaf_splits : int Atomic.t;
   c_index_splits : int Atomic.t;
   c_root_splits : int Atomic.t;
-  c_side_traversals : int Atomic.t;
-  c_postings_scheduled : int Atomic.t;
   c_postings_completed : int Atomic.t;
   c_postings_noop : int Atomic.t;
   c_consolidations : int Atomic.t;
@@ -75,9 +73,6 @@ type counters = {
   c_path_reuse_hits : int Atomic.t;
   c_full_retraversals : int Atomic.t;
   c_lock_restarts : int Atomic.t;
-  c_olc_restarts : int Atomic.t;
-  c_olc_fallbacks : int Atomic.t;
-  c_descents : int Atomic.t;
 }
 
 let fresh_counters () =
@@ -88,8 +83,6 @@ let fresh_counters () =
     c_leaf_splits = Atomic.make 0;
     c_index_splits = Atomic.make 0;
     c_root_splits = Atomic.make 0;
-    c_side_traversals = Atomic.make 0;
-    c_postings_scheduled = Atomic.make 0;
     c_postings_completed = Atomic.make 0;
     c_postings_noop = Atomic.make 0;
     c_consolidations = Atomic.make 0;
@@ -97,9 +90,6 @@ let fresh_counters () =
     c_path_reuse_hits = Atomic.make 0;
     c_full_retraversals = Atomic.make 0;
     c_lock_restarts = Atomic.make 0;
-    c_olc_restarts = Atomic.make 0;
-    c_olc_fallbacks = Atomic.make 0;
-    c_descents = Atomic.make 0;
   }
 
 let bump c = Atomic.incr c
@@ -109,21 +99,14 @@ type t = {
   name : string;
   root : int;
   c : counters;
-  (* Dedup of queued posting tasks, keyed by the pid whose term is being
-     posted. Purely an optimization: posting is idempotent anyway. *)
-  pending : (int, unit) Hashtbl.t;
-  pending_mu : Mutex.t;
+  (* The shared traversal's per-tree state: root pin cache, queued
+     postings and the descent / side-step / OLC counters. *)
+  trav : Traversal.state;
   (* Dedup of queued consolidation tasks, keyed by under-utilized pid. *)
-  pending_consol : (int, unit) Hashtbl.t;
+  consol : Traversal.dedup;
   (* How move locks are realized under page-oriented UNDO (section 4.2.2):
      one node-granule lock, or one U lock per record to be moved. *)
   mutable move_granularity : [ `Node | `Record ];
-  (* A permanently pinned root frame for latch-free descents: pinned
-     frames are never evicted, so optimistic readers skip the root's
-     shard mutex entirely (the hottest pin in the tree). Keyed by pool
-     identity — recovery replaces the pool object, invalidating the
-     cache. *)
-  root_cache : (Buffer_pool.t * Buffer_pool.frame) option Atomic.t;
   (* Hot-key write combining: non-transactional inserts funnel through
      this per-tree combiner ([Env.config.combine]). A combined request
      the batch could not serve is [Handback]: the caller re-runs it on
@@ -148,31 +131,12 @@ let cfg t = Env.config t.env
 
 let pin t pid = Buffer_pool.pin (pool t) pid
 let unpin t fr = Buffer_pool.unpin (pool t) fr
-
-(* Latch rank for deadlock-avoidance checking: parents (higher levels)
-   before children. *)
-let rank page = 255 - Page.level page
-
-let latch fr m =
-  Latch.acquire fr.Buffer_pool.latch m;
-  Latch_order.acquired (rank fr.Buffer_pool.page)
-
-let unlatch fr m =
-  Latch_order.released (rank fr.Buffer_pool.page);
-  Latch.release fr.Buffer_pool.latch m
-
-(* For the rare callers that changed the node's LEVEL while holding the X
-   latch (root growth, de-allocation): release the order-checker entry at
-   the rank recorded when the latch was taken. *)
-let unlatch_at rank0 fr m =
-  Latch_order.released rank0;
-  Latch.release fr.Buffer_pool.latch m
-
-let promote fr =
-  Latch_order.promoting (rank fr.Buffer_pool.page);
-  Latch.promote fr.Buffer_pool.latch
-
-let page fr = fr.Buffer_pool.page
+let page = Traversal.page
+let rank = Traversal.rank
+let latch = Traversal.latch
+let unlatch = Traversal.unlatch
+let unlatch_at = Traversal.unlatch_at
+let promote = Traversal.promote
 
 (* Test-only protocol-bug injection (validated by lib/sim's schedule
    explorer): deliberately break the split protocol so the oracles —
@@ -210,9 +174,8 @@ let update_record t txn fr op ~comp =
 
 (* ---------- creation ---------- *)
 
-(* Forward declarations: creation registers trees with the logical-undo
-   registry defined further down; the posting action needs the traversal
-   machinery and vice versa. *)
+(* Forward declaration: creation registers trees with the logical-undo
+   registry defined further down. *)
 let register_tree_fwd : (t -> unit) ref = ref (fun _ -> ())
 let register_tree_hook t = !register_tree_fwd t
 
@@ -221,22 +184,21 @@ let register_tree_hook t = !register_tree_fwd t
 let attach_combiner_fwd : (t -> unit) ref = ref (fun _ -> ())
 let attach_combiner t = !attach_combiner_fwd t
 
+let make e ~name ~root =
+  {
+    env = e;
+    name;
+    root;
+    c = fresh_counters ();
+    trav = Traversal.state e ~root;
+    consol = Traversal.dedup ();
+    move_granularity = `Node;
+    combiner = None;
+  }
+
 let create e ~name =
   let root = Env.create_tree e ~name ~kind:Page.Data ~level:0 in
-  let t =
-    {
-      env = e;
-      name;
-      root;
-      c = fresh_counters ();
-      pending = Hashtbl.create 16;
-      pending_mu = Mutex.create ();
-      pending_consol = Hashtbl.create 16;
-      move_granularity = `Node;
-      root_cache = Atomic.make None;
-      combiner = None;
-    }
-  in
+  let t = make e ~name ~root in
   (* Give the root its fence cell (responsible for the whole space). *)
   Atomic_action.run (mgr t) (fun txn ->
       let fr = pin t root in
@@ -253,43 +215,18 @@ let create e ~name =
    need this tree's logical-undo handler BEFORE the catalog is readable, so
    callers that persist root pids externally can pre-register. *)
 let register_for_recovery e ~root =
-  register_tree_hook
-    {
-      env = e;
-      name = Printf.sprintf "<recovery:%d>" root;
-      root;
-      c = fresh_counters ();
-      pending = Hashtbl.create 4;
-      pending_mu = Mutex.create ();
-      pending_consol = Hashtbl.create 4;
-      move_granularity = `Node;
-      root_cache = Atomic.make None;
-      combiner = None;
-    }
+  register_tree_hook (make e ~name:(Printf.sprintf "<recovery:%d>" root) ~root)
 
 let open_existing e ~name =
   match Env.find_tree e ~name with
   | None -> None
   | Some root ->
-      let t =
-        {
-          env = e;
-          name;
-          root;
-          c = fresh_counters ();
-          pending = Hashtbl.create 16;
-          pending_mu = Mutex.create ();
-          pending_consol = Hashtbl.create 16;
-          move_granularity = `Node;
-          root_cache = Atomic.make None;
-          combiner = None;
-        }
-      in
+      let t = make e ~name ~root in
       register_tree_hook t;
       attach_combiner t;
       Some t
 
-(* ---------- posting scheduling (section 5.1) ---------- *)
+(* ---------- traversal (sections 2.1, 5.1; see Pitree_core.Traversal) ---------- *)
 
 let move_locked t pid =
   List.exists
@@ -303,248 +240,31 @@ let post_action :
   =
   ref (fun _ ~level:_ ~path:_ ~address:_ ~key:_ -> assert false)
 
-(* Called when a traversal at [level] follows the side pointer of
-   [container] looking for [key]: the index term for the sibling may be
-   missing one level up. [path] holds the nodes above [level] already
-   traversed. *)
-let maybe_schedule_posting t ~level ~container ~sibling ~path ~key =
+module Tr = Traversal.Make (struct
+  type nonrec t = t
+  type key = string
+
+  let state t = t.trav
+
+  let route p key =
+    if not (Node.contains p key) then Traversal.Side (Page.side_ptr p)
+    else if Page.level p = 0 then Traversal.Here
+    else
+      (* Index nodes always carry a least separator <= every key they
+         directly contain (the leftmost uses ""); none means a torn read. *)
+      match Node.floor_entry p key with
+      | Some i -> Traversal.Child (snd (Node.index_term p i), i)
+      | None -> Traversal.Here
+
   (* A move lock on the split node means the split's transaction has not
      committed: do not post its index term (section 4.2.2). *)
-  if (not (cfg t).Env.page_oriented_undo) || not (move_locked t container) then begin
-    Mutex.lock t.pending_mu;
-    let fresh = not (Hashtbl.mem t.pending sibling) in
-    if fresh then Hashtbl.replace t.pending sibling ();
-    Mutex.unlock t.pending_mu;
-    if fresh then begin
-      bump t.c.c_postings_scheduled;
-      Env.schedule t.env (fun () ->
-          Mutex.lock t.pending_mu;
-          Hashtbl.remove t.pending sibling;
-          Mutex.unlock t.pending_mu;
-          !post_action t ~level:(level + 1) ~path ~address:sibling ~key)
-    end
-  end
+  let may_post t ~container =
+    (not (cfg t).Env.page_oriented_undo) || not (move_locked t container)
 
-let pending_postings t =
-  Mutex.lock t.pending_mu;
-  let n = Hashtbl.length t.pending in
-  Mutex.unlock t.pending_mu;
-  n
+  let post t ~level ~path ~address key = !post_action t ~level ~path ~address ~key
+end)
 
-(* ---------- traversal ---------- *)
-
-(* Side-step along sibling pointers (same level) until the node directly
-   contains [key]. [fr] is latched in [m]; returns the (possibly different)
-   frame latched in [m]. Missing index terms discovered on the way are
-   scheduled for posting. *)
-let rec side_step t ~key ~m ~path fr =
-  let p = page fr in
-  if Node.contains p key then fr
-  else begin
-    bump t.c.c_side_traversals;
-    let sib = Page.side_ptr p in
-    assert (sib <> Page.nil);
-    maybe_schedule_posting t ~level:(Page.level p) ~container:(Page.id p)
-      ~sibling:sib ~path ~key;
-    let sfr = pin t sib in
-    if (cfg t).Env.consolidation then begin
-      (* CP: latch-couple so the target cannot be de-allocated while we
-         de-reference the pointer (section 5.2.2). *)
-      latch sfr m;
-      unlatch fr m;
-      unpin t fr
-    end
-    else begin
-      (* CNS: nodes are immortal; one latch at a time suffices. *)
-      unlatch fr m;
-      unpin t fr;
-      latch sfr m
-    end;
-    side_step t ~key ~m ~path sfr
-  end
-
-(* Descend from [fr] (latched; S above [target], [mode] at [target]) to the
-   node at [target] whose directly-contained space includes [key]. Returns
-   the saved path of the levels above [target] and the latched frame. *)
-let rec descend_from t ~key ~target ~mode fr path =
-  let p = page fr in
-  let level = Page.level p in
-  let m = if level > target then Latch.S else mode in
-  let fr = side_step t ~key ~m ~path fr in
-  let p = page fr in
-  if level = target then (path, fr)
-  else begin
-    let i =
-      match Node.floor_entry p key with
-      | Some i -> i
-      | None ->
-          (* Index nodes always carry a least separator <= every key they
-             directly contain (the leftmost uses ""). *)
-          assert false
-    in
-    let _, child = Node.index_term p i in
-    let path =
-      Saved_path.push path ~pid:(Page.id p) ~level ~state_id:(Page.lsn p) ~slot:i
-    in
-    let cfr = pin t child in
-    let cm = if level - 1 > target then Latch.S else mode in
-    if (cfg t).Env.consolidation then begin
-      latch cfr cm;
-      unlatch fr m;
-      unpin t fr
-    end
-    else begin
-      unlatch fr m;
-      unpin t fr;
-      latch cfr cm
-    end;
-    descend_from t ~key ~target ~mode cfr path
-  end
-
-(* Entry point: latch the root with the right mode for its current level
-   and descend. *)
-let rec descend t ~key ~target ~mode =
-  if target = 0 then bump t.c.c_descents;
-  let fr = pin t t.root in
-  let guess_above = Page.level (page fr) > target in
-  let m = if guess_above then Latch.S else mode in
-  latch fr m;
-  if (Page.level (page fr) > target) <> guess_above then begin
-    (* The root grew between the unlatched peek and the latch. *)
-    unlatch fr m;
-    unpin t fr;
-    descend t ~key ~target ~mode
-  end
-  else descend_from t ~key ~target ~mode fr Saved_path.empty
-
-(* ---------- optimistic (latch-free) descent ----------
-
-   Searches and range scans normally descend without taking a single
-   latch: each node's frame latch carries a version word (twice the page
-   LSN when quiescent, odd while a writer holds the X latch — see
-   Pitree_sync.Version), and a reader proves each node read was
-   consistent by snapshotting the word before reading and re-checking it
-   before acting on anything it read. A failed check raises
-   [Olc.Restart]; the whole descent restarts from the root, and after
-   [Olc.max_restarts] failures the reader falls back to the classic
-   S-latched path, so pathological write storms degrade to the paper's
-   protocol instead of livelocking.
-
-   Pins are still taken (frames must not be recycled under the reader),
-   but the root — the hottest pin in the tree, taken by every descent —
-   comes from a permanently pinned cached frame, so the root costs one
-   atomic increment instead of a shard mutex.
-
-   Under the CP invariant a node reached through a validated pointer can
-   still be de-allocated before the reader pins it ("de-allocation is a
-   node update", section 5.2.2 strategy (b), bumps the victim's LSN and
-   hence its version word — but the reader has not latched anything, so
-   nothing blocks the consolidator). Defence: after pinning the child,
-   re-validate the PARENT's word; unchanged means the index term (or
-   side pointer) still stood after the pin, and a pinned frame cannot be
-   recycled, so the child is (or safely was) the node the pointer named. *)
-
-let olc_enabled t = (cfg t).Env.olc_reads
-let olc_snapshot = Olc.snapshot
-let olc_validate = Olc.validate
-
-(* The permanently pinned root frame. Keyed by pool identity: [crash]
-   replaces the pool object, orphaning the old entry (and its pin) along
-   with the pool itself. The CAS race on first installation is benign —
-   the loser just drops the extra pin it took for the cache. *)
-let pin_root t =
-  let pl = pool t in
-  match Atomic.get t.root_cache with
-  | Some (p, fr) when p == pl ->
-      Buffer_pool.repin pl fr;
-      fr
-  | stale ->
-      let fr = pin t t.root in
-      Buffer_pool.repin pl fr (* the cache's own, permanent pin *);
-      if not (Atomic.compare_and_set t.root_cache stale (Some (pl, fr))) then
-        unpin t fr;
-      fr
-
-(* One node of the optimistic descent: decide where [key] routes without
-   holding any latch, proving every pointer read against the version word
-   before returning it. *)
-let olc_eval ~key fr =
-  let v = olc_snapshot fr in
-  let p = page fr in
-  (* A stale pointer can land on a page a consolidation already freed
-     (free-listed pages keep their latch and version word): explicitly a
-     transient state — restart, don't decode free-list bytes as a node. *)
-  Olc.live p;
-  (* The routing reads below parse unvalidated bytes; [Olc.decoding]
-     turns a decode blow-up on a torn snapshot into a restart while
-     letting the same failure on stable bytes escape as a real bug. *)
-  Olc.decoding fr v @@ fun () ->
-  if not (Node.contains p key) then begin
-    (* Capture everything the side chase will act on (the root's level
-       can change in place) BEFORE the validation that proves the reads
-       were not torn. *)
-    let sib = Page.side_ptr p in
-    let level = Page.level p in
-    olc_validate fr v;
-    if sib = Page.nil then raise Olc.Restart;
-    `Next (v, sib, `Side level)
-  end
-  else if Page.level p = 0 then begin
-    (* Prove this really is the leaf directly containing [key] before the
-       caller reads records out of it. *)
-    olc_validate fr v;
-    `Leaf v
-  end
-  else
-    match Node.floor_entry p key with
-    | None -> raise Olc.Restart (* torn read: index nodes have a least sep *)
-    | Some i ->
-        let _, child = Node.index_term p i in
-        olc_validate fr v;
-        `Next (v, child, `Child)
-
-(* Descend from the pinned [fr] to the leaf directly containing [key].
-   Returns the leaf pinned (never latched) with a validated snapshot of
-   its version word. Owns [fr]'s pin: every exit path, including every
-   raise, drops every pin this descent still holds. *)
-let rec olc_step t ~key fr =
-  match olc_eval ~key fr with
-  | exception e ->
-      unpin t fr;
-      raise e
-  | `Leaf v -> (fr, v)
-  | `Next (v, next, kind) -> (
-      let nfr =
-        match pin t next with
-        | nfr -> nfr
-        | exception e ->
-            unpin t fr;
-            raise e
-      in
-      (* CP de-allocation defence (see the section comment): re-validate
-         the parent now that the child is pinned. *)
-      match olc_validate fr v with
-      | exception e ->
-          unpin t nfr;
-          unpin t fr;
-          raise e
-      | () ->
-          (match kind with
-          | `Side level ->
-              bump t.c.c_side_traversals;
-              (* Only validated side chases reach here, so the posting
-                 queue never sees a pid (or level) from a torn read. *)
-              maybe_schedule_posting t ~level
-                ~container:(Page.id (page fr))
-                ~sibling:next ~path:Saved_path.empty ~key
-          | `Child -> ());
-          unpin t fr;
-          olc_step t ~key nfr)
-
-(* Counted restarts + latched fallback, on the shared Olc loop. *)
-let olc_protected t ~attempt ~fallback =
-  Olc.protect ~restarts:t.c.c_olc_restarts ~fallbacks:t.c.c_olc_fallbacks
-    ~attempt ~fallback ()
+let pending_postings t = Traversal.queued t.trav.posts
 
 (* ---------- node split (section 3.2.1) ---------- *)
 
@@ -684,7 +404,7 @@ let grow_root t txn fr ~pending =
    space includes [key], U-latched — reusing the saved path when state
    identifiers allow (section 5.2). *)
 let search_for_posting t ~key ~level ~path =
-  let consolidation = (cfg t).Env.consolidation in
+  let cp = Tr.cp t in
   (* Candidate re-entry points, nearest level first. *)
   let candidates =
     List.filter (fun e -> e.Saved_path.level >= level) path
@@ -692,7 +412,7 @@ let search_for_posting t ~key ~level ~path =
   in
   let from_root () =
     bump t.c.c_full_retraversals;
-    let _, fr = descend t ~key ~target:level ~mode:Latch.U in
+    let _, fr = Tr.descend t ~key ~target:level ~mode:Latch.U in
     fr
   in
   let rec try_candidates = function
@@ -701,7 +421,7 @@ let search_for_posting t ~key ~level ~path =
         match pin t e.Saved_path.pid with
         | exception Not_found -> try_candidates rest
         | fr
-          when consolidation
+          when cp
                && (let w = Version.peek (Latch.version fr.Buffer_pool.latch) in
                    (not (Version.is_locked w)) && not (Saved_path.matches e ~version:w))
           ->
@@ -717,7 +437,7 @@ let search_for_posting t ~key ~level ~path =
             latch fr m;
             let p = page fr in
             let usable =
-              if consolidation then
+              if cp then
                 (* CP + "de-allocation is a node update": an unchanged state
                    identifier proves the node is still the one we saw
                    (section 5.2.2 strategy (b)). *)
@@ -735,10 +455,10 @@ let search_for_posting t ~key ~level ~path =
             else begin
               bump t.c.c_path_reuse_hits;
               if e.Saved_path.level = level then
-                side_step t ~key ~m:Latch.U ~path:Saved_path.empty fr
+                fst (Tr.settle t ~key ~m:Latch.U ~path:Saved_path.empty fr)
               else
                 let _, fr =
-                  descend_from t ~key ~target:level ~mode:Latch.U fr
+                  Tr.descend_from t ~key ~target:level ~mode:Latch.U fr
                     Saved_path.empty
                 in
                 fr
@@ -881,8 +601,8 @@ let do_post_action t ~level ~path ~address ~key =
   List.iter
     (fun (`Post (lvl, container, sep, sibling)) ->
       (* The saved path above [lvl] is still a fine starting hint. *)
-      maybe_schedule_posting t ~level:lvl ~container ~sibling
-        ~path:(Saved_path.above path lvl) ~key:sep)
+      Tr.schedule_posting t ~level:lvl ~container ~sibling
+        ~path:(Saved_path.above path lvl) sep)
     !deferred;
   Crash_point.hit "blink.post.done"
 
@@ -909,7 +629,7 @@ let split_leaf_independent t ~key ~need =
            on exactly the records to be moved. *)
         let rec attempt tries =
           if tries > 200 then failwith "blink: split cannot acquire move locks";
-          let path, fr = descend t ~key ~target:0 ~mode:Latch.U in
+          let path, fr = Tr.descend t ~key ~target:0 ~mode:Latch.U in
           let p = page fr in
           if
             Node.entry_count p < 1
@@ -999,7 +719,7 @@ let split_leaf_independent t ~key ~need =
     | `Split (path, pid, sep, sibling) ->
         Crash_point.hit "blink.split.committed";
         (* Step 6: schedule the posting in a separate atomic action. *)
-        maybe_schedule_posting t ~level:0 ~container:pid ~sibling ~path ~key:sep
+        Tr.schedule_posting t ~level:0 ~container:pid ~sibling ~path sep
   in
   go 0
 
@@ -1011,7 +731,7 @@ let split_leaf_independent t ~key ~need =
 let split_leaf_in_txn t txn ~key ~need =
   let rec go tries =
     if tries > 100 then failwith "blink: move lock starvation (in txn)";
-    let path, fr = descend t ~key ~target:0 ~mode:Latch.U in
+    let path, fr = Tr.descend t ~key ~target:0 ~mode:Latch.U in
     let p = page fr in
     if Node.entry_count p < 1 || Page.will_fit p (need + Page.slot_overhead)
     then begin
@@ -1048,8 +768,7 @@ let split_leaf_in_txn t txn ~key ~need =
           (* Defer the posting to commit; abort undoes the split and no
              term must ever be posted (section 4.2.2). *)
           Txn.add_on_commit txn (fun () ->
-              maybe_schedule_posting t ~level:0 ~container:pid ~sibling ~path
-                ~key:sep)
+              Tr.schedule_posting t ~level:0 ~container:pid ~sibling ~path sep)
         end
       end
     end
@@ -1090,21 +809,6 @@ let release_speculative t txn ~pid ~key =
       Lock_manager.release lk ~owner:txn.Txn.id (node_res t pid)
   end
 
-let with_autocommit t txn f =
-  match txn with
-  | Some txn -> f txn
-  | None ->
-      let txn = Txn_mgr.begin_txn (mgr t) Txn.User in
-      (match f txn with
-      | v ->
-          Txn_mgr.commit (mgr t) txn;
-          ignore (Env.drain t.env);
-          v
-      | exception (Crash_point.Crash_requested _ as e) -> raise e
-      | exception e ->
-          if Txn.is_active txn then Txn_mgr.abort (mgr t) txn;
-          raise e)
-
 (* An autocommit operation picked as deadlock victim (its transaction is
    aborted, its locks are gone) retries transparently: the client never
    held a transaction to re-run. Explicit transactions surface the
@@ -1123,10 +827,10 @@ let rec insert_direct ?txn t ~key ~value =
 
 and insert_direct_once ?txn t ~key ~value =
   let cell = Node.record_cell ~key ~value in
-  with_autocommit t txn (fun txn ->
+  Tr.with_autocommit t txn (fun txn ->
       let rec attempt tries =
         if tries > 200 then failwith "blink.insert: too many restarts";
-        let _, fr = descend t ~key ~target:0 ~mode:Latch.U in
+        let _, fr = Tr.descend t ~key ~target:0 ~mode:Latch.U in
         let p = page fr in
         let pid = Page.id p in
         if not (try_update_locks t txn ~pid ~key) then begin
@@ -1216,7 +920,7 @@ let apply_batch t (reqs : (string * string) array) =
   let applied = ref 0 in
   match
     let key0, _ = reqs.(0) in
-    let _, fr = descend t ~key:key0 ~target:0 ~mode:Latch.U in
+    let _, fr = Tr.descend t ~key:key0 ~target:0 ~mode:Latch.U in
     let p = page fr in
     let pid = Page.id p in
     let f = Node.fence p in
@@ -1319,28 +1023,20 @@ let consolidate_action : (t -> key:string -> level:int -> unit) ref =
   ref (fun _ ~key:_ ~level:_ -> assert false)
 
 let maybe_schedule_consolidation t ~key ~pid ~level =
-  if (cfg t).Env.consolidation && pid <> t.root then begin
-    Mutex.lock t.pending_mu;
-    let fresh = not (Hashtbl.mem t.pending_consol pid) in
-    if fresh then Hashtbl.replace t.pending_consol pid ();
-    Mutex.unlock t.pending_mu;
-    if fresh then
-      Env.schedule t.env (fun () ->
-          Mutex.lock t.pending_mu;
-          Hashtbl.remove t.pending_consol pid;
-          Mutex.unlock t.pending_mu;
-          !consolidate_action t ~key ~level)
-  end
+  if (cfg t).Env.consolidation && pid <> t.root then
+    ignore
+      (Traversal.schedule_once t.env t.consol pid (fun () ->
+           !consolidate_action t ~key ~level))
 
 let underutilized p = Node.utilization p < 0.25
 
 let delete ?txn t key =
   bump t.c.c_deletes;
   autocommit_deadlock_retry ?txn t ~tries:0 @@ fun () ->
-  with_autocommit t txn (fun txn ->
+  Tr.with_autocommit t txn (fun txn ->
       let rec attempt tries =
         if tries > 200 then failwith "blink.delete: too many restarts";
-        let _, fr = descend t ~key ~target:0 ~mode:Latch.U in
+        let _, fr = Tr.descend t ~key ~target:0 ~mode:Latch.U in
         let p = page fr in
         let pid = Page.id p in
         match Node.find p key with
@@ -1375,7 +1071,7 @@ let delete ?txn t key =
 (* The classic S-latched search — still the fallback when optimistic
    descents keep failing, and the whole path when [olc_reads] is off. *)
 let find_latched t key =
-  let _, fr = descend t ~key ~target:0 ~mode:Latch.S in
+  let _, fr = Tr.descend t ~key ~target:0 ~mode:Latch.S in
   let p = page fr in
   let r =
     match Node.find p key with
@@ -1387,7 +1083,7 @@ let find_latched t key =
   r
 
 let find_olc t key =
-  let fr, v = olc_step t ~key (pin_root t) in
+  let fr, v = Tr.olc_descend t key in
   match
     let p = page fr in
     let r =
@@ -1398,7 +1094,7 @@ let find_olc t key =
     in
     (* The record bytes were copied out above; prove they were not torn
        before anyone sees them. *)
-    olc_validate fr v;
+    Olc.validate fr v;
     r
   with
   | r ->
@@ -1415,7 +1111,7 @@ let find_olc t key =
 let find_in_txn ~txn t key =
   let rec attempt tries =
     if tries > 200 then failwith "blink.find: too many restarts";
-    let _, fr = descend t ~key ~target:0 ~mode:Latch.S in
+    let _, fr = Tr.descend t ~key ~target:0 ~mode:Latch.S in
     if
       Lock_manager.try_acquire (locks t) ~owner:txn.Txn.id (record_res t key)
         Lock_mode.S
@@ -1447,11 +1143,9 @@ let find ?txn t key =
   | Some txn -> find_in_txn ~txn t key
   | None ->
       let r =
-        if olc_enabled t then
-          olc_protected t
-            ~attempt:(fun () -> find_olc t key)
-            ~fallback:(fun () -> find_latched t key)
-        else find_latched t key
+        Tr.read t
+          ~optimistic:(fun () -> find_olc t key)
+          ~latched:(fun () -> find_latched t key)
       in
       ignore (Env.drain t.env);
       r
@@ -1472,7 +1166,7 @@ let collect_batch ~start ~beyond p =
 
 let range_latched t ~start ~high ~init ~f =
   let beyond k = match high with None -> false | Some h -> String.compare k h >= 0 in
-  let _, fr = descend t ~key:start ~target:0 ~mode:Latch.S in
+  let _, fr = Tr.descend t ~key:start ~target:0 ~mode:Latch.S in
   let rec walk fr acc =
     let p = page fr in
     (* Copy the in-range records out, then release before calling [f]. *)
@@ -1485,20 +1179,7 @@ let range_latched t ~start ~high ~init ~f =
       | Some h -> (not (beyond h)) && sib <> Page.nil
     in
     let next =
-      if continue_ then begin
-        let sfr = pin t sib in
-        if (cfg t).Env.consolidation then begin
-          latch sfr Latch.S;
-          unlatch fr Latch.S;
-          unpin t fr
-        end
-        else begin
-          unlatch fr Latch.S;
-          unpin t fr;
-          latch sfr Latch.S
-        end;
-        Some sfr
-      end
+      if continue_ then Some (Tr.hop t fr Latch.S sib Latch.S)
       else begin
         unlatch fr Latch.S;
         unpin t fr;
@@ -1537,12 +1218,12 @@ let range_olc t ~start ~high ~init ~f =
     let unpin_chain () = List.iter (fun (fr, _) -> unpin t fr) !chain in
     let snapshot_into_chain fr =
       chain := (fr, 0) :: !chain;
-      let v = olc_snapshot fr in
+      let v = Olc.snapshot fr in
       chain := (fr, v) :: List.tl !chain;
       v
     in
     match
-      let fr0, _ = olc_step t ~key:start (pin_root t) in
+      let fr0, _ = Tr.olc_descend t start in
       let rec leaves fr pos batches =
         let v = snapshot_into_chain fr in
         let p = page fr in
@@ -1569,11 +1250,11 @@ let range_olc t ~start ~high ~init ~f =
         match next with
         | None -> batches
         | Some (sib, h) ->
-            bump t.c.c_side_traversals;
+            bump t.trav.side_traversals;
             leaves (pin t sib) h batches
       in
       let batches = leaves fr0 start [] in
-      List.iter (fun (fr, v) -> olc_validate fr v) !chain;
+      List.iter (fun (fr, v) -> Olc.validate fr v) !chain;
       batches
     with
     | exception e ->
@@ -1586,13 +1267,11 @@ let range_olc t ~start ~high ~init ~f =
             List.fold_left (fun acc (k, v) -> f acc k v) acc batch)
           init (List.rev batches)
   in
-  olc_protected t ~attempt
-    ~fallback:(fun () -> range_latched t ~start ~high ~init ~f)
+  Tr.read t ~optimistic:attempt
+    ~latched:(fun () -> range_latched t ~start ~high ~init ~f)
 
 let range t ?low ?high ~init ~f =
-  let start = Option.value low ~default:"" in
-  if olc_enabled t then range_olc t ~start ~high ~init ~f
-  else range_latched t ~start ~high ~init ~f
+  range_olc t ~start:(Option.value low ~default:"") ~high ~init ~f
 
 let count t = range t ?low:None ?high:None ~init:0 ~f:(fun n _ _ -> n + 1)
 
@@ -1605,7 +1284,7 @@ let do_consolidate t ~key ~level =
   Atomic_action.run (mgr t) (fun txn ->
         (* Find the parent whose space contains [key]; the candidate
            contained node C is the child the key routes to. *)
-        let _, pfr = descend t ~key ~target:(level + 1) ~mode:Latch.U in
+        let _, pfr = Tr.descend t ~key ~target:(level + 1) ~mode:Latch.U in
         let pp = page pfr in
         let give_up () =
           unlatch pfr Latch.U;
@@ -1765,7 +1444,7 @@ let logical_undo t ~comp ~txn ~prev ~undo_next =
   in
   let rec go tries =
     if tries > 100 then failwith "blink: logical undo cannot make progress";
-    let _, fr = descend t ~key ~target:0 ~mode:Latch.U in
+    let _, fr = Tr.descend t ~key ~target:0 ~mode:Latch.U in
     let p = page fr in
     let apply_clr op =
       (* Dirty (logging the full-page image if one is due) before the CLR
@@ -1964,8 +1643,8 @@ let stats t =
     leaf_splits = Atomic.get t.c.c_leaf_splits;
     index_splits = Atomic.get t.c.c_index_splits;
     root_splits = Atomic.get t.c.c_root_splits;
-    side_traversals = Atomic.get t.c.c_side_traversals;
-    postings_scheduled = Atomic.get t.c.c_postings_scheduled;
+    side_traversals = Atomic.get t.trav.side_traversals;
+    postings_scheduled = Atomic.get t.trav.postings_scheduled;
     postings_completed = Atomic.get t.c.c_postings_completed;
     postings_noop = Atomic.get t.c.c_postings_noop;
     consolidations = Atomic.get t.c.c_consolidations;
@@ -1973,26 +1652,26 @@ let stats t =
     path_reuse_hits = Atomic.get t.c.c_path_reuse_hits;
     full_retraversals = Atomic.get t.c.c_full_retraversals;
     lock_restarts = Atomic.get t.c.c_lock_restarts;
-    olc_restarts = Atomic.get t.c.c_olc_restarts;
-    olc_fallbacks = Atomic.get t.c.c_olc_fallbacks;
-    descents = Atomic.get t.c.c_descents;
+    olc_restarts = Atomic.get t.trav.olc_restarts;
+    olc_fallbacks = Atomic.get t.trav.olc_fallbacks;
+    descents = Atomic.get t.trav.descents;
   }
 
 let reset_stats t =
   let c = t.c in
   List.iter
     (fun a -> Atomic.set a 0)
-    [
-      c.c_searches; c.c_inserts; c.c_deletes; c.c_leaf_splits; c.c_index_splits;
-      c.c_root_splits; c.c_side_traversals; c.c_postings_scheduled;
-      c.c_postings_completed; c.c_postings_noop; c.c_consolidations;
-      c.c_consolidations_skipped; c.c_path_reuse_hits; c.c_full_retraversals;
-      c.c_lock_restarts; c.c_olc_restarts; c.c_olc_fallbacks; c.c_descents;
-    ]
+    ([
+       c.c_searches; c.c_inserts; c.c_deletes; c.c_leaf_splits; c.c_index_splits;
+       c.c_root_splits; c.c_postings_completed; c.c_postings_noop;
+       c.c_consolidations; c.c_consolidations_skipped; c.c_path_reuse_hits;
+       c.c_full_retraversals; c.c_lock_restarts;
+     ]
+    @ Traversal.counters t.trav)
 
 module Internal = struct
   let leaf_for t key =
-    let _, fr = descend t ~key ~target:0 ~mode:Latch.S in
+    let _, fr = Tr.descend t ~key ~target:0 ~mode:Latch.S in
     fr
 
   let pin_pid t pid =
@@ -2035,18 +1714,7 @@ module Internal = struct
       release_s t fr;
       None
     end
-    else begin
-      let sfr = pin t sib in
-      if (cfg t).Env.consolidation then begin
-        latch sfr Latch.S;
-        release_s t fr
-      end
-      else begin
-        release_s t fr;
-        latch sfr Latch.S
-      end;
-      Some sfr
-    end
+    else Some (Tr.hop t fr Latch.S sib Latch.S)
 end
 
 module Testing = struct

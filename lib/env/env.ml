@@ -151,7 +151,7 @@ let dec_catalog s =
   let root = Codec.get_u32 r in
   (name, root)
 
-(* --- fuzzy / sharp checkpoints --- *)
+(* --- checkpoints --- *)
 
 (* The three instants of the checkpoint protocol a crash can land on; the
    chaos sweep drives all of them. Registered up front so harnesses can
@@ -188,15 +188,14 @@ let publish_begin f begin_lsn =
     f.imaged;
   Mutex.unlock f.fpw_mu
 
-(* One protocol for both modes (ARIES section 5.4 shape):
+(* The ARIES fuzzy checkpoint (section 5.4 shape):
 
    1. fence: append Begin_checkpoint and snapshot the ATT atomically with
       it (Txn_mgr.begin_checkpoint) — writers keep running — then publish
       its LSN to the full-page-write rule, before step 2 lists any page;
-   2. write back dirty pages: [`Fuzzy] incrementally (one S latch at a
-      time — safe under concurrent writers), [`Sharp] via the
-      stop-the-shard flush_all (no page latches: callers must have no
-      concurrent page mutators, as in create/close);
+   2. write back every page dirty when listed, one S latch at a time
+      (safe under concurrent writers; at a quiescent call site such as
+      create or close this one sweep leaves the pool clean);
    3. snapshot the dirty-page table. Taken AFTER write-back on purpose:
       any page still dirty here carries a rec_lsn bounding what redo must
       replay, and any page cleaned by step 2 has everything below the
@@ -209,7 +208,7 @@ let publish_begin f begin_lsn =
    A crash between any two steps recovers from the PREVIOUS complete
    checkpoint: nothing is published until step 5, and truncation only
    discards what the just-published checkpoint makes unreachable. *)
-let checkpoint ?(mode = `Sharp) t =
+let checkpoint t =
   Mutex.lock t.ckpt_mu;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.ckpt_mu)
@@ -218,14 +217,7 @@ let checkpoint ?(mode = `Sharp) t =
       let begin_lsn, att = Txn_mgr.begin_checkpoint t.txns_v in
       publish_begin t.fpw begin_lsn;
       Crash_point.hit crash_point_begin;
-      let written =
-        match mode with
-        | `Fuzzy -> Buffer_pool.write_back t.pool_v
-        | `Sharp ->
-            let before = (Buffer_pool.stats t.pool_v).Buffer_pool.flushes in
-            Buffer_pool.flush_all t.pool_v;
-            (Buffer_pool.stats t.pool_v).Buffer_pool.flushes - before
-      in
+      let written = Buffer_pool.write_back t.pool_v in
       let dpt = Buffer_pool.dirty_pages t.pool_v in
       let end_lsn =
         Log_manager.append log ~prev:Lsn.null ~txn:0
@@ -278,7 +270,7 @@ let maybe_checkpoint t =
           (* Re-check after the race window: another thread may have just
              checkpointed. *)
           if bytes - t.last_ckpt_bytes >= threshold then
-            checkpoint ~mode:`Fuzzy t
+            checkpoint t
         end
 
 let start_ckpt_thread t =
@@ -304,7 +296,7 @@ let start_ckpt_thread t =
                       crash point firing here (or the env dying under it)
                       must not take down the process — the workload
                       threads drive crash simulation. *)
-                   try checkpoint ~mode:`Fuzzy t with _ -> ()
+                   try checkpoint t with _ -> ()
                done)
              ())
 

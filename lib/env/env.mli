@@ -113,22 +113,19 @@ val recover : t -> Pitree_wal.Recovery.report
     bounded by the work since it, not by total history) and restart the
     automatic checkpoint triggers. *)
 
-val checkpoint : ?mode:[ `Sharp | `Fuzzy ] -> t -> unit
+val checkpoint : t -> unit
 (** Take a checkpoint and truncate the log below the new redo point.
 
-    Both modes follow the ARIES fuzzy protocol — log a [Begin_checkpoint]
-    fence with an exact snapshot of the active-transaction table, write
-    dirty pages back, log an [End_checkpoint] carrying the dirty-page
-    table (page id, rec_lsn) and the snapshot, force it, publish the
-    master record, truncate. They differ in how pages are written back:
-    [`Fuzzy] (the mode the automatic triggers use, and the only mode safe
-    under concurrent writers) flushes one page at a time under that page's
-    S latch, so an in-flux page is never captured and readers stall at
-    most one page write; [`Sharp] (default, used by {!close}) calls
-    [Buffer_pool.flush_all], which holds each shard's mutex across its
-    flushes and takes no page latches — it leaves the pool fully clean but
-    must not race page mutators (concurrent readers are fine; {!close} and
-    freshly-created environments are quiescent).
+    The ARIES fuzzy protocol: log a [Begin_checkpoint] fence with an exact
+    snapshot of the active-transaction table, write dirty pages back, log
+    an [End_checkpoint] carrying the dirty-page table (page id, rec_lsn)
+    and the snapshot, force it, publish the master record, truncate.
+    Write-back ([Buffer_pool.write_back]) flushes one page at a time under
+    that page's S latch, so it is safe under concurrent writers, never
+    captures an in-flux page, and stalls readers for at most one page
+    write. Every page dirty when the sweep lists it leaves the sweep
+    clean, so at a quiescent call site ({!close}, a freshly created
+    environment) the pool ends fully clean.
 
     Crash points [ckpt.begin.logged], [ckpt.end.logged] and
     [ckpt.truncated] fire at the protocol's three commit instants. *)

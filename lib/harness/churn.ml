@@ -24,6 +24,7 @@ module Blink = Pitree_blink.Blink
 module Tsb = Pitree_tsb.Tsb
 module Hb = Pitree_hb.Hb
 module Wellformed = Pitree_core.Wellformed
+module Engine = Pitree_core.Engine
 
 type config = {
   cycles : int;  (** insert/delete pairs per engine *)
@@ -73,7 +74,7 @@ let ok r = r.r_bounded && r.r_reuse_ok && r.r_well_formed
 (* One engine's churn run. [mk] builds the tree and returns the uniform
    engine instance plus the engine's between-halves pulse (tsb's
    expire-and-collect; a no-op elsewhere) and its verifier. *)
-let run_one ~cfg ~engine ~(mk : Env.t -> Kv.instance * (unit -> unit) * (unit -> bool)) =
+let run_one ~cfg ~engine ~(mk : Env.t -> Engine.instance * (unit -> unit) * (unit -> bool)) =
   let env =
     Env.create
       {
@@ -90,15 +91,15 @@ let run_one ~cfg ~engine ~(mk : Env.t -> Kv.instance * (unit -> unit) * (unit ->
   let value = String.make cfg.value_bytes 'v' in
   let rotate start =
     for i = start to start + cfg.band - 1 do
-      ignore (Kv.delete inst (key i) : bool)
+      ignore (Engine.delete inst (key i) : bool)
     done;
     pulse ();
     for i = start to start + cfg.band - 1 do
-      Kv.insert inst ~key:(key i) ~value
+      Engine.insert inst ~key:(key i) ~value
     done
   in
   for i = 0 to cfg.keys - 1 do
-    Kv.insert inst ~key:(key i) ~value
+    Engine.insert inst ~key:(key i) ~value
   done;
   ignore (Env.drain env);
   (* warm-up: one full rotation reaches the churned steady state *)
@@ -175,14 +176,14 @@ let run ?(log = fun _ -> ()) cfg =
     [
       one "blink" (fun env ->
           let t = Blink.create env ~name:"churn" in
-          (Kv.blink t, noop, fun () -> Wellformed.ok (Blink.verify t)));
+          (Pitree_blink.Blink_engine.inst t, noop, fun () -> Wellformed.ok (Blink.verify t)));
       one "tsb" (fun env ->
           let t = Tsb.create env ~name:"churn" in
           let pulse () =
             Tsb.set_horizon t (Tsb.now t);
             ignore (Tsb.gc t : int)
           in
-          (Kv.tsb t, pulse, fun () -> Wellformed.ok (Tsb.verify t)));
+          (Pitree_tsb.Tsb_engine.inst t, pulse, fun () -> Wellformed.ok (Tsb.verify t)));
       (* The hB adapter hashes string keys over the unit cube, so a
          contiguous key band scatters spatially and no region ever
          empties. Churn it in full-population waves instead — delete
@@ -191,7 +192,7 @@ let run ?(log = fun _ -> ()) cfg =
          the free list, and the re-insert wave's splits pop it back. *)
       one ~cfg:{ cfg with band = cfg.keys } "hb" (fun env ->
           let t = Hb.create env ~name:"churn" ~dims:2 in
-          (Kv.hb t, noop, fun () -> Wellformed.ok (Hb.verify t)));
+          (Pitree_hb.Hb_engine.inst t, noop, fun () -> Wellformed.ok (Hb.verify t)));
     ]
   in
   { runs; passed = List.for_all ok runs }

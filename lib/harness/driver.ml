@@ -1,4 +1,5 @@
 module Histogram = Pitree_util.Histogram
+module Engine = Pitree_core.Engine
 module Clock = Pitree_sync.Clock
 
 type result = {
@@ -27,17 +28,17 @@ let now () = Unix.gettimeofday ()
 let preload inst spec ~n =
   let value = String.make spec.Workload.value_len 'P' in
   for i = 0 to n - 1 do
-    Kv.insert inst ~key:(Workload.key_of i) ~value
+    Engine.insert inst ~key:(Workload.key_of i) ~value
   done
 
 let apply inst = function
-  | Workload.Find k -> ignore (Kv.find inst k)
-  | Workload.Insert (k, v) -> ignore (Kv.insert inst ~key:k ~value:v)
-  | Workload.Delete k -> ignore (Kv.delete inst k)
-  | Workload.Scan (k, n) -> ignore (Kv.scan inst ~low:k ~n)
+  | Workload.Find k -> ignore (Engine.find inst k)
+  | Workload.Insert (k, v) -> ignore (Engine.insert inst ~key:k ~value:v)
+  | Workload.Delete k -> ignore (Engine.delete inst k)
+  | Workload.Scan (k, n) -> ignore (Engine.scan inst ~low:k ~n)
   | Workload.Rmw (k, v) ->
-      ignore (Kv.find inst k);
-      Kv.insert inst ~key:k ~value:v
+      ignore (Engine.find inst k);
+      Engine.insert inst ~key:k ~value:v
 
 let worker inst spec ~seed ~worker:w ~workers ~ops =
   let g = Workload.gen spec ~seed ~worker:w ~workers in

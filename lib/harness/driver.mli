@@ -22,7 +22,7 @@ type result = {
 
 val pp_result : Format.formatter -> result -> unit
 
-val preload : Kv.instance -> Workload.spec -> n:int -> unit
+val preload : Pitree_core.Engine.instance -> Workload.spec -> n:int -> unit
 (** Insert keys 0..n-1 (of the spec's canonical encoding) so measurements
     run against a warm tree. *)
 
@@ -32,7 +32,7 @@ val run :
   domains:int ->
   ops_per_domain:int ->
   seed:int64 ->
-  Kv.instance ->
+  Pitree_core.Engine.instance ->
   Workload.spec ->
   result
 (** Pass [?env] to capture a {!Stats.t} delta (WAL group-commit counters,

@@ -602,7 +602,7 @@ let run ?(log = fun _ -> ()) cfg =
          cfg.domains);
   let t_pre = Unix.gettimeofday () in
   preload cfg env tree;
-  (* Quiescent sharp checkpoint: the preload's log is truncated away, so
+  (* Quiescent checkpoint: the preload's log is truncated away, so
      the WAL-bound SLO measures steady-state growth, not the load phase. *)
   Env.checkpoint env;
   log (Printf.sprintf "preload done in %.1fs (%d nodes, height %d)"

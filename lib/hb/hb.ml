@@ -13,6 +13,8 @@ module Atomic_action = Pitree_txn.Atomic_action
 module Crash_point = Pitree_util.Crash_point
 module Env = Pitree_env.Env
 module Wellformed = Pitree_core.Wellformed
+module Saved_path = Pitree_core.Saved_path
+module Traversal = Pitree_core.Traversal
 
 (* Every Crash_point.hit site in this engine, pre-registered so sweep
    harnesses can enumerate them before any fires. *)
@@ -59,14 +61,13 @@ type t = {
   c_data_splits : int Atomic.t;
   c_index_splits : int Atomic.t;
   c_root_splits : int Atomic.t;
-  c_side : int Atomic.t;
   c_posted : int Atomic.t;
   c_clipped : int Atomic.t;
   c_multi : int Atomic.t;
   c_consol : int Atomic.t;
   c_consol_skip : int Atomic.t;
-  pending : (int, unit) Hashtbl.t;
-  pending_mu : Mutex.t;
+  trav : Traversal.state;
+  consol : Traversal.dedup;  (* queued consolidations, keyed by pid *)
 }
 
 let env t = t.env
@@ -76,10 +77,10 @@ let pool t = Env.pool t.env
 let mgr t = Env.txns t.env
 let pin t pid = Buffer_pool.pin (pool t) pid
 let unpin t fr = Buffer_pool.unpin (pool t) fr
-let page fr = fr.Buffer_pool.page
-let latch fr m = Latch.acquire fr.Buffer_pool.latch m
-let unlatch fr m = Latch.release fr.Buffer_pool.latch m
-let promote fr = Latch.promote fr.Buffer_pool.latch
+let page = Traversal.page
+let latch = Traversal.latch
+let unlatch = Traversal.unlatch
+let promote = Traversal.promote
 let update t txn fr op = ignore (Txn_mgr.update (mgr t) txn fr op)
 
 let multi_parent_flag = 1
@@ -139,154 +140,28 @@ let find_record p point =
   in
   go 0
 
-(* ---------- traversal ---------- *)
+(* ---------- traversal (see Pitree_core.Traversal) ---------- *)
 
 let post_action : (t -> level:int -> address:int -> anchor:float array -> unit) ref =
   ref (fun _ ~level:_ ~address:_ ~anchor:_ -> assert false)
 
-let maybe_schedule_posting t ~level ~sibling ~anchor =
-  Mutex.lock t.pending_mu;
-  let fresh = not (Hashtbl.mem t.pending sibling) in
-  if fresh then Hashtbl.replace t.pending sibling ();
-  Mutex.unlock t.pending_mu;
-  if fresh then
-    Env.schedule t.env (fun () ->
-        Mutex.lock t.pending_mu;
-        Hashtbl.remove t.pending sibling;
-        Mutex.unlock t.pending_mu;
-        !post_action t ~level:(level + 1) ~address:sibling ~anchor)
+module Tr = Traversal.Make (struct
+  type nonrec t = t
+  type key = float array
 
-(* Route within the node for [point]: side-step over sibling markers until
-   the node holds the point Here (leaf) or names a child (index). CNS:
-   one latch at a time. *)
-let rec settle t ~point ~m fr =
-  let p = page fr in
-  match Hkd.walk (node_kd p) point with
-  | Hkd.Sibling s ->
-      Atomic.incr t.c_side;
-      maybe_schedule_posting t ~level:(Page.level p) ~sibling:s ~anchor:point;
-      let sfr = pin t s in
-      if (Env.config t.env).Env.consolidation then begin
-        (* CP invariant: couple so the target cannot be de-allocated while
-           the pointer is de-referenced (section 5.2.2). *)
-        latch sfr m;
-        unlatch fr m;
-        unpin t fr
-      end
-      else begin
-        unlatch fr m;
-        unpin t fr;
-        latch sfr m
-      end;
-      settle t ~point ~m sfr
-  | Hkd.Here | Hkd.Child _ -> fr
+  let state t = t.trav
 
-let rec descend_from t ~point ~target ~mode fr =
-  let p = page fr in
-  let level = Page.level p in
-  let m = if level > target then Latch.S else mode in
-  let fr = settle t ~point ~m fr in
-  if level = target then fr
-  else begin
-    let child =
-      match Hkd.walk (node_kd (page fr)) point with
-      | Hkd.Child c -> c
-      | Hkd.Here | Hkd.Sibling _ -> assert false
-    in
-    let cfr = pin t child in
-    let cm = if level - 1 > target then Latch.S else mode in
-    if (Env.config t.env).Env.consolidation then begin
-      latch cfr cm;
-      unlatch fr m;
-      unpin t fr
-    end
-    else begin
-      unlatch fr m;
-      unpin t fr;
-      latch cfr cm
-    end;
-    descend_from t ~point ~target ~mode cfr
-  end
-
-let rec descend t ~point ~target ~mode =
-  let fr = pin t t.root in
-  let above = Page.level (page fr) > target in
-  let m = if above then Latch.S else mode in
-  latch fr m;
-  if Page.level (page fr) > target <> above then begin
-    unlatch fr m;
-    unpin t fr;
-    descend t ~point ~target ~mode
-  end
-  else descend_from t ~point ~target ~mode fr
-
-(* ---------- optimistic (latch-free) descent ----------
-
-   Same read-validate-retry protocol as Pitree_blink (see the section
-   comment there and Pitree_storage.Olc). The hB-tree runs under either
-   invariant, so like the latched descent it must defend against CP
-   de-allocation: after pinning a node reached through a validated
-   pointer, re-validate the node the pointer was read from — unchanged
-   means the pointer still stood once the pin made the target
-   un-recyclable. *)
-
-let olc_enabled t = (Env.config t.env).Env.olc_reads
-
-(* Descend pinned-only to the leaf holding [point]'s region; returns it
-   pinned with a validated version-word snapshot. Owns [fr]'s pin: every
-   exit, including every raise, drops every pin held. *)
-let rec olc_step t ~point fr =
-  match
-    let v = Olc.snapshot fr in
-    let p = page fr in
-    (* Routing reads (level, kd-tree walk) parse unvalidated bytes;
-       [Olc.decoding] restarts a decode blow-up only when the version
-       word proves them torn. *)
-    Olc.decoding fr v @@ fun () ->
-    let level = Page.level p in
+  (* The kd-tree walk over the node's sibling markers and index terms. A
+     level-0 [Child] marker, like [Here], means this node. *)
+  let route p point =
     match Hkd.walk (node_kd p) point with
-    | Hkd.Sibling s ->
-        Olc.validate fr v;
-        `Next (v, s, `Side level)
-    | Hkd.Child c when level > 0 ->
-        Olc.validate fr v;
-        `Next (v, c, `Child)
-    | Hkd.Here | Hkd.Child _ ->
-        (* [Here] (or a level-0 kd-tree child marker) means this node:
-           the leaf, if the level read was not torn. *)
-        if level = 0 then begin
-          Olc.validate fr v;
-          `Leaf v
-        end
-        else raise Olc.Restart
-  with
-  | exception e ->
-      unpin t fr;
-      raise e
-  | `Leaf v -> (fr, v)
-  | `Next (v, next, kind) -> (
-      let nfr =
-        match pin t next with
-        | nfr -> nfr
-        | exception e ->
-            unpin t fr;
-            raise e
-      in
-      (* CP de-allocation defence (see the section comment). *)
-      match Olc.validate fr v with
-      | exception e ->
-          unpin t nfr;
-          unpin t fr;
-          raise e
-      | () ->
-          (match kind with
-          | `Side level ->
-              Atomic.incr t.c_side;
-              (* Validated side chase: pid and level proven un-torn. *)
-              maybe_schedule_posting t ~level ~sibling:next ~anchor:point
-          | `Child -> ());
-          unpin t fr;
-          olc_step t ~point nfr)
+    | Hkd.Here -> Traversal.Here
+    | Hkd.Sibling s -> Traversal.Side s
+    | Hkd.Child c -> Traversal.Child (c, 0)
+
+  let may_post _ ~container:_ = true
+  let post t ~level ~path:_ ~address anchor = !post_action t ~level ~address ~anchor
+end)
 
 (* ---------- splits ---------- *)
 
@@ -550,7 +425,7 @@ let grow_root t txn fr ~split_node =
    action, re-tested after descending. *)
 let split_for_insert t ~point ~need =
   Atomic_action.run (mgr t) (fun txn ->
-      let fr = descend t ~point ~target:0 ~mode:Latch.U in
+      let _, fr = Tr.descend t ~key:point ~target:0 ~mode:Latch.U in
       let p = page fr in
       if Page.will_fit p (need + Page.slot_overhead) then begin
         unlatch fr Latch.U;
@@ -570,7 +445,8 @@ let split_for_insert t ~point ~need =
                     else b.low.(i))
               in
               Txn.add_on_commit txn (fun () ->
-                  maybe_schedule_posting t ~level:0 ~sibling:qpid ~anchor)
+                  Tr.schedule_posting t ~level:0 ~container:(Page.id p) ~sibling:qpid
+                    ~path:Saved_path.empty anchor)
           | None -> ()
         end;
         unlatch fr Latch.X;
@@ -583,7 +459,7 @@ let do_post_action t ~level ~address ~anchor =
   Atomic_action.run (mgr t) (fun txn ->
       let rec attempt tries =
         if tries > 50 then failwith "hb: posting cannot make progress";
-        let fr = descend t ~point:anchor ~target:level ~mode:Latch.U in
+        let _, fr = Tr.descend t ~key:anchor ~target:level ~mode:Latch.U in
         let p = page fr in
         let kd = node_kd p in
         if List.mem address (Hkd.children kd) then begin
@@ -689,8 +565,9 @@ let do_post_action t ~level ~address ~anchor =
                                    else bq.high.(i) -. 1e-9
                                  else bq.low.(i))
                            in
-                           maybe_schedule_posting t ~level:(Page.level p)
-                             ~sibling:qpid ~anchor:anchor_q
+                           Tr.schedule_posting t ~level:(Page.level p)
+                             ~container:(Page.id p) ~sibling:qpid
+                             ~path:Saved_path.empty anchor_q
                        | None -> failwith "hb: index node cannot split");
                     unlatch fr Latch.X;
                     unpin t fr;
@@ -720,19 +597,10 @@ let consolidate_action : (t -> pid:int -> anchor:float array -> unit) ref =
   ref (fun _ ~pid:_ ~anchor:_ -> assert false)
 
 let maybe_schedule_consolidation t ~pid ~anchor =
-  if pid <> t.root then begin
-    Mutex.lock t.pending_mu;
-    let key = -pid (* distinct namespace from posting dedup *) in
-    let fresh = not (Hashtbl.mem t.pending key) in
-    if fresh then Hashtbl.replace t.pending key ();
-    Mutex.unlock t.pending_mu;
-    if fresh then
-      Env.schedule t.env (fun () ->
-          Mutex.lock t.pending_mu;
-          Hashtbl.remove t.pending key;
-          Mutex.unlock t.pending_mu;
-          !consolidate_action t ~pid ~anchor)
-  end
+  if pid <> t.root then
+    ignore
+      (Traversal.schedule_once t.env t.consol pid (fun () ->
+           !consolidate_action t ~pid ~anchor))
 
 let do_consolidate t ~pid ~anchor =
   let skipped () = Atomic.incr t.c_consol_skip in
@@ -745,7 +613,7 @@ let do_consolidate t ~pid ~anchor =
       in
       if not tall_enough then skipped ()
       else begin
-        let pfr = descend t ~point:anchor ~target:1 ~mode:Latch.U in
+        let _, pfr = Tr.descend t ~key:anchor ~target:1 ~mode:Latch.U in
         let pp = page pfr in
         let give_up () =
           unlatch pfr Latch.U;
@@ -833,7 +701,7 @@ let rec logical_undo t ~comp ~txn ~prev ~undo_next =
      wherever committed structure changes have moved the point since. *)
   let cell_of = function Logical.Remove { key } -> key | Logical.Put { cell } -> cell in
   let point, _ = record_of_cell (cell_of comp) in
-  let fr = descend t ~point ~target:0 ~mode:Latch.U in
+  let _, fr = Tr.descend t ~key:point ~target:0 ~mode:Latch.U in
   let p = page fr in
   let apply_clr op =
     (* Dirty (logging the full-page image if one is due) before the CLR
@@ -915,14 +783,13 @@ let attach env ~name ~root ~k =
     c_data_splits = Atomic.make 0;
     c_index_splits = Atomic.make 0;
     c_root_splits = Atomic.make 0;
-    c_side = Atomic.make 0;
     c_posted = Atomic.make 0;
     c_clipped = Atomic.make 0;
     c_multi = Atomic.make 0;
     c_consol = Atomic.make 0;
     c_consol_skip = Atomic.make 0;
-    pending = Hashtbl.create 16;
-    pending_mu = Mutex.create ();
+    trav = Traversal.state env ~root;
+    consol = Traversal.dedup ();
   }
 
 let attach env ~name ~root ~k =
@@ -970,21 +837,6 @@ let open_existing env ~name =
 
 (* ---------- operations ---------- *)
 
-let with_autocommit ?txn t f =
-  match txn with
-  | Some txn -> f txn
-  | None -> (
-      let txn = Txn_mgr.begin_txn (mgr t) Txn.User in
-      match f txn with
-      | v ->
-          Txn_mgr.commit (mgr t) txn;
-          ignore (Env.drain t.env);
-          v
-      | exception (Crash_point.Crash_requested _ as e) -> raise e
-      | exception e ->
-          if Txn.is_active txn then Txn_mgr.abort (mgr t) txn;
-          raise e)
-
 let check_point t point =
   if Array.length point <> t.k then
     invalid_arg (Printf.sprintf "hb: expected %d dimensions" t.k)
@@ -994,7 +846,7 @@ let insert_in_txn t txn ~point ~value =
   (fun txn ->
       let rec attempt tries =
         if tries > 200 then failwith "hb.insert: too many restarts";
-        let fr = descend t ~point ~target:0 ~mode:Latch.U in
+        let _, fr = Tr.descend t ~key:point ~target:0 ~mode:Latch.U in
         let p = page fr in
         let lundo comp =
           if (Env.config t.env).Env.page_oriented_undo then None
@@ -1094,13 +946,13 @@ let insert ?txn t ~point ~value =
       | Applied -> ()
       | Handback ->
           Combine.note_handback ();
-          with_autocommit t (fun txn -> insert_in_txn t txn ~point ~value))
-  | _ -> with_autocommit ?txn t (fun txn -> insert_in_txn t txn ~point ~value)
+          Tr.with_autocommit t None (fun txn -> insert_in_txn t txn ~point ~value))
+  | _ -> Tr.with_autocommit t txn (fun txn -> insert_in_txn t txn ~point ~value)
 
 let delete ?txn t point =
   check_point t point;
-  with_autocommit ?txn t (fun txn ->
-      let fr = descend t ~point ~target:0 ~mode:Latch.U in
+  Tr.with_autocommit t txn (fun txn ->
+      let _, fr = Tr.descend t ~key:point ~target:0 ~mode:Latch.U in
       let p = page fr in
       match find_record p point with
       | Some (slot, _) ->
@@ -1126,14 +978,14 @@ let delete ?txn t point =
           false)
 
 let find_latched t point =
-  let fr = descend t ~point ~target:0 ~mode:Latch.S in
+  let _, fr = Tr.descend t ~key:point ~target:0 ~mode:Latch.S in
   let r = Option.map snd (find_record (page fr) point) in
   unlatch fr Latch.S;
   unpin t fr;
   r
 
 let find_olc t point =
-  let fr, v = olc_step t ~point (pin t t.root) in
+  let fr, v = Tr.olc_descend t point in
   match
     let r =
       Olc.decoding fr v (fun () ->
@@ -1155,12 +1007,9 @@ let find t point =
   check_point t point;
   Atomic.incr t.c_searches;
   let r =
-    if olc_enabled t then
-      Olc.protect
-        ~attempt:(fun () -> find_olc t point)
-        ~fallback:(fun () -> find_latched t point)
-        ()
-    else find_latched t point
+    Tr.read t
+      ~optimistic:(fun () -> find_olc t point)
+      ~latched:(fun () -> find_latched t point)
   in
   ignore (Env.drain t.env);
   r
@@ -1265,7 +1114,7 @@ let stats t =
     data_splits = Atomic.get t.c_data_splits;
     index_splits = Atomic.get t.c_index_splits;
     root_splits = Atomic.get t.c_root_splits;
-    side_traversals = Atomic.get t.c_side;
+    side_traversals = Atomic.get t.trav.side_traversals;
     postings_completed = Atomic.get t.c_posted;
     clipped_postings = Atomic.get t.c_clipped;
     multi_parent_marks = Atomic.get t.c_multi;

@@ -615,21 +615,6 @@ let write_back t =
     t.shards;
   !written
 
-(* Sharp flush: drain until no resident page is dirty. The previous
-   implementation held each shard's mutex across the writes and took no
-   page latches, which was documented-unsafe against concurrent page
-   mutators: a writer holding a frame's X latch mid-mutation does not
-   touch the shard mutex, so the flusher could write a half-updated image
-   — and a torn durable image of a clean-looking page is invisible to
-   recovery. Each round now delegates to [write_back], which writes under
-   per-page S latches (excluding mutators) with no shard mutex held
-   across I/O; pages re-dirtied (or still [Writing] from an eviction)
-   during a round are picked up by the next, and the loop exits only when
-   a full sweep finds the dirty-page table empty. Termination requires
-   mutators to quiesce eventually — true at the sharp-checkpoint call
-   sites (environment create/close); a concurrent workload merely delays
-   completion and is flushed correctly (see test_pool's
-   flush_all-vs-mutator regression). *)
 (* Power-failure image dump for crash simulation: write every dirty frame
    as-is, taking no page latches. A dying machine's cache write-back does
    not coordinate with the application — the workload may have unwound

@@ -187,13 +187,10 @@ val flush_page : t -> frame -> unit
 (** WAL-flush then write this page to disk; clears [dirty]. *)
 
 val flush_all : t -> unit
-(** Sharp flush: repeat {!write_back} sweeps until no resident page is
-    dirty. Each page is written under its own S latch with no shard mutex
-    held across I/O, so it is safe against concurrent page mutators (a
-    mutator's X latch excludes the flusher per page); pages re-dirtied
-    mid-sweep are caught by the next round, so termination assumes
-    writers eventually quiesce (the clean-shutdown / initial-checkpoint
-    call sites). Under sustained writes prefer {!write_back} (fuzzy). *)
+(** Repeat {!write_back} sweeps until no resident page is dirty. Safe
+    against concurrent page mutators (each page is written under its own
+    S latch); pages re-dirtied mid-sweep are caught by the next round, so
+    termination assumes writers eventually quiesce. *)
 
 val dirty_pages : t -> (int * int) list
 (** Snapshot of the dirty-page table — (page id, [rec_lsn]) for every

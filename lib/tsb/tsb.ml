@@ -18,6 +18,8 @@ module Crash_point = Pitree_util.Crash_point
 module Env = Pitree_env.Env
 module Wellformed = Pitree_core.Wellformed
 module Keyspace = Pitree_core.Keyspace
+module Saved_path = Pitree_core.Saved_path
+module Traversal = Pitree_core.Traversal
 module Ordkey = Pitree_util.Ordkey
 module Bnode = Pitree_blink.Node
 module Combine = Pitree_combine.Combine
@@ -66,13 +68,11 @@ type t = {
   c_key_splits : int Atomic.t;
   c_root_splits : int Atomic.t;
   c_history_nodes : int Atomic.t;
-  c_side : int Atomic.t;
   c_posted : int Atomic.t;
   c_drained : int Atomic.t;
   c_purged : int Atomic.t;
   c_merges : int Atomic.t;
-  pending : (int, unit) Hashtbl.t;
-  pending_mu : Mutex.t;
+  trav : Traversal.state;
   gc_mu : Mutex.t;
 }
 
@@ -108,153 +108,42 @@ let alloc_ts t txn =
 
 let pin t pid = Buffer_pool.pin (pool t) pid
 let unpin t fr = Buffer_pool.unpin (pool t) fr
-let page fr = fr.Buffer_pool.page
-let latch fr m = Latch.acquire fr.Buffer_pool.latch m
-let unlatch fr m = Latch.release fr.Buffer_pool.latch m
-let promote fr = Latch.promote fr.Buffer_pool.latch
+let page = Traversal.page
+let latch = Traversal.latch
+let unlatch = Traversal.unlatch
+let promote = Traversal.promote
 let update t txn fr op = ignore (Txn_mgr.update (mgr t) txn fr op)
 
 let is_history p = Page.flags p land Tnode.history_flag <> 0
 
 let dummy_time = Tnode.time_cell { Tnode.t_low = 0; t_high = None }
 
-(* ---------- traversal (CNS: one latch at a time) ---------- *)
+(* ---------- traversal (see Pitree_core.Traversal) ----------
+
+   Single-latch (CNS) by design: the TSB-tree never consolidates a node
+   a traversal can reach outside its quiesced GC pass. *)
 
 let post_action :
     (t -> level:int -> address:int -> key:string -> unit) ref =
   ref (fun _ ~level:_ ~address:_ ~key:_ -> assert false)
 
-let maybe_schedule_posting t ~level ~sibling ~key =
-  Mutex.lock t.pending_mu;
-  let fresh = not (Hashtbl.mem t.pending sibling) in
-  if fresh then Hashtbl.replace t.pending sibling ();
-  Mutex.unlock t.pending_mu;
-  if fresh then
-    Env.schedule t.env (fun () ->
-        Mutex.lock t.pending_mu;
-        Hashtbl.remove t.pending sibling;
-        Mutex.unlock t.pending_mu;
-        !post_action t ~level:(level + 1) ~address:sibling ~key)
+module Tr = Traversal.Make (struct
+  type nonrec t = t
+  type key = string
 
-let rec side_step t ~ckey ~m fr =
-  let p = page fr in
-  if Tnode.contains p ckey then fr
-  else begin
-    Atomic.incr t.c_side;
-    let sib = Page.side_ptr p in
-    assert (sib <> Page.nil);
-    maybe_schedule_posting t ~level:(Page.level p) ~sibling:sib ~key:ckey;
-    let sfr = pin t sib in
-    unlatch fr m;
-    unpin t fr;
-    latch sfr m;
-    side_step t ~ckey ~m sfr
-  end
+  let state t = t.trav
 
-(* Descend by composite key to [target] level; CNS single-latch. *)
-let rec descend_from t ~ckey ~target ~mode fr =
-  let p = page fr in
-  let level = Page.level p in
-  let m = if level > target then Latch.S else mode in
-  let fr = side_step t ~ckey ~m fr in
-  let p = page fr in
-  if level = target then fr
-  else begin
-    let i =
-      match Tnode.floor_entry p ckey with
-      | Some i -> i
-      | None -> assert false
-    in
-    let _, child = Tnode.index_term p i in
-    let cfr = pin t child in
-    unlatch fr m;
-    unpin t fr;
-    latch cfr (if level - 1 > target then Latch.S else mode);
-    descend_from t ~ckey ~target ~mode cfr
-  end
-
-let rec descend t ~ckey ~target ~mode =
-  let fr = pin t t.root in
-  let above = Page.level (page fr) > target in
-  let m = if above then Latch.S else mode in
-  latch fr m;
-  if Page.level (page fr) > target <> above then begin
-    unlatch fr m;
-    unpin t fr;
-    descend t ~ckey ~target ~mode
-  end
-  else descend_from t ~ckey ~target ~mode fr
-
-(* ---------- optimistic (latch-free) descent ----------
-
-   Same read-validate-retry protocol as Pitree_blink (see the section
-   comment there and Pitree_storage.Olc), simplified by the TSB-tree's
-   CNS discipline: nodes are immortal, so a validated pointer can be
-   de-referenced without re-validating the parent after the pin — a
-   stale (post-split) child is recovered by side-stepping, exactly as in
-   the latched single-latch descent above. *)
-
-let olc_enabled t = (Env.config t.env).Env.olc_reads
-
-(* Descend pinned-only to the current node directly containing [ckey];
-   returns it pinned with a validated version-word snapshot. Owns [fr]'s
-   pin: every exit, including every raise, drops every pin held. *)
-let rec olc_step t ~ckey fr =
-  match
-    let v = Olc.snapshot fr in
-    let p = page fr in
-    (* A stale pointer can land on a page the GC drain/merge already
-       freed: a transient state of the optimistic protocol — restart. *)
-    Olc.live p;
-    (* Routing reads parse unvalidated bytes; [Olc.decoding] restarts a
-       decode blow-up only when the version word proves them torn. *)
-    Olc.decoding fr v @@ fun () ->
-    if not (Tnode.contains p ckey) then begin
-      let sib = Page.side_ptr p in
-      let level = Page.level p in
-      Olc.validate fr v;
-      if sib = Page.nil then raise Olc.Restart;
-      `Side (sib, level)
-    end
-    else if Page.level p = 0 then begin
-      Olc.validate fr v;
-      `Leaf v
-    end
+  let route p ckey =
+    if not (Tnode.contains p ckey) then Traversal.Side (Page.side_ptr p)
+    else if Page.level p = 0 then Traversal.Here
     else
       match Tnode.floor_entry p ckey with
-      | None -> raise Olc.Restart
-      | Some i ->
-          let _, child = Tnode.index_term p i in
-          Olc.validate fr v;
-          `Child child
-  with
-  | exception e ->
-      unpin t fr;
-      raise e
-  | `Leaf v -> (fr, v)
-  | `Side (sib, level) ->
-      Atomic.incr t.c_side;
-      (* Validated side chase: the pid and level are proven un-torn. *)
-      maybe_schedule_posting t ~level ~sibling:sib ~key:ckey;
-      let sfr =
-        match pin t sib with
-        | sfr -> sfr
-        | exception e ->
-            unpin t fr;
-            raise e
-      in
-      unpin t fr;
-      olc_step t ~ckey sfr
-  | `Child child ->
-      let cfr =
-        match pin t child with
-        | cfr -> cfr
-        | exception e ->
-            unpin t fr;
-            raise e
-      in
-      unpin t fr;
-      olc_step t ~ckey cfr
+      | Some i -> Traversal.Child (snd (Tnode.index_term p i), i)
+      | None -> Traversal.Here
+
+  let may_post _ ~container:_ = true
+  let post t ~level ~path:_ ~address key = !post_action t ~level ~address ~key
+end)
 
 (* ---------- splits ---------- *)
 
@@ -444,7 +333,7 @@ let grow_root t txn fr ~sep ~right =
    state after re-descending (idempotent completion discipline). *)
 let split_current t ~ckey ~need =
   Atomic_action.run (mgr t) (fun txn ->
-      let fr = descend t ~ckey ~target:0 ~mode:Latch.U in
+      let _, fr = Tr.descend t ~key:ckey ~target:0 ~mode:Latch.U in
       let p = page fr in
       if Page.will_fit p (need + Page.slot_overhead) then begin
         unlatch fr Latch.U;
@@ -471,7 +360,8 @@ let split_current t ~ckey ~need =
               if Page.id p = t.root then grow_root t txn fr ~sep ~right:q
               else
                 Txn.add_on_commit txn (fun () ->
-                    maybe_schedule_posting t ~level:0 ~sibling:q ~key:sep)
+                    Tr.schedule_posting t ~level:0 ~container:(Page.id p) ~sibling:q
+                      ~path:Saved_path.empty sep)
           | None ->
               if n >= 1 && dead_bytes > 0 then time_split t txn fr
               else
@@ -517,7 +407,8 @@ let rec ensure_space_index t txn fr ~poskey ~need =
     match index_split t txn fr with
     | None -> failwith "tsb: cannot split index node"
     | Some (sep, q) ->
-        maybe_schedule_posting t ~level:(Page.level p) ~sibling:q ~key:sep;
+        Tr.schedule_posting t ~level:(Page.level p) ~container:(Page.id p)
+          ~sibling:q ~path:Saved_path.empty sep;
         if String.compare poskey sep < 0 then
           ensure_space_index t txn fr ~poskey ~need
         else begin
@@ -580,7 +471,7 @@ and index_split t txn fr =
 
 let do_post_action t ~level ~address ~key =
   Atomic_action.run (mgr t) (fun txn ->
-      let fr = descend t ~ckey:key ~target:level ~mode:Latch.U in
+      let _, fr = Tr.descend t ~key ~target:level ~mode:Latch.U in
       if Tnode.find_child_term (page fr) address <> None then begin
         unlatch fr Latch.U;
         unpin t fr
@@ -635,8 +526,6 @@ let do_post_action t ~level ~address ~key =
             end
       end)
 
-let () = ()
-
 (* ---------- creation / registration ---------- *)
 
 let record_res t key = Lock_manager.Record { tree = t.root; key }
@@ -647,7 +536,7 @@ let logical_undo t ~comp ~txn ~prev ~undo_next =
     | Logical.Remove { key } -> key
     | Logical.Put { cell } -> fst (Bnode.entry_of_cell cell)
   in
-  let fr = descend t ~ckey ~target:0 ~mode:Latch.U in
+  let _, fr = Tr.descend t ~key:ckey ~target:0 ~mode:Latch.U in
   let p = page fr in
   let apply_clr op =
     (* Dirty (logging the full-page image if one is due) before the CLR
@@ -709,13 +598,11 @@ let attach env ~name ~root =
       c_key_splits = Atomic.make 0;
       c_root_splits = Atomic.make 0;
       c_history_nodes = Atomic.make 0;
-      c_side = Atomic.make 0;
       c_posted = Atomic.make 0;
       c_drained = Atomic.make 0;
       c_purged = Atomic.make 0;
       c_merges = Atomic.make 0;
-      pending = Hashtbl.create 16;
-      pending_mu = Mutex.create ();
+      trav = Traversal.state ~always_cns:true env ~root;
       gc_mu = Mutex.create ();
     }
   in
@@ -796,21 +683,6 @@ let open_existing env ~name =
 
 (* ---------- writes ---------- *)
 
-let with_autocommit t txn f =
-  match txn with
-  | Some txn -> f txn
-  | None ->
-      let txn = Txn_mgr.begin_txn (mgr t) Txn.User in
-      (match f txn with
-      | v ->
-          Txn_mgr.commit (mgr t) txn;
-          ignore (Env.drain t.env);
-          v
-      | exception (Crash_point.Crash_requested _ as e) -> raise e
-      | exception e ->
-          if Txn.is_active txn then Txn_mgr.abort (mgr t) txn;
-          raise e)
-
 let write_version ?time t txn ~key version =
   (* [time] is given only by Mvcc's commit-time install: the whole SI
      write set shares one already-allocated (and tracked) timestamp. *)
@@ -819,7 +691,7 @@ let write_version ?time t txn ~key version =
   let cell = Tnode.version_cell ~composite:ckey version in
   let rec attempt tries =
     if tries > 200 then failwith "tsb.put: too many restarts";
-    let fr = descend t ~ckey ~target:0 ~mode:Latch.U in
+    let _, fr = Tr.descend t ~key:ckey ~target:0 ~mode:Latch.U in
     let p = page fr in
     if
       not
@@ -902,7 +774,7 @@ let () =
                ())
 
 let put_direct ?txn t ~key ~value =
-  with_autocommit t txn (fun txn -> write_version t txn ~key (Tnode.Value value))
+  Tr.with_autocommit t txn (fun txn -> write_version t txn ~key (Tnode.Value value))
 
 let put ?txn t ~key ~value =
   Atomic.incr t.c_puts;
@@ -916,7 +788,7 @@ let put ?txn t ~key ~value =
   | _ -> put_direct ?txn t ~key ~value
 
 let remove ?txn t key =
-  with_autocommit t txn (fun txn -> write_version t txn ~key Tnode.Tombstone)
+  Tr.with_autocommit t txn (fun txn -> write_version t txn ~key Tnode.Tombstone)
 
 let now t = Atomic.get t.clock - 1
 
@@ -969,7 +841,7 @@ let walk_history t ~key ~time pid =
 
 let lookup_asof_latched t ~key ~time =
   let ckey = Ordkey.composite key time in
-  let fr = descend t ~ckey ~target:0 ~mode:Latch.S in
+  let _, fr = Tr.descend t ~key:ckey ~target:0 ~mode:Latch.S in
   let p = page fr in
   let current = version_in_page p ~key ~time in
   let r =
@@ -992,7 +864,7 @@ let lookup_asof_latched t ~key ~time =
    chain pages) is discarded and the descent restarts. *)
 let lookup_asof_olc t ~key ~time =
   let ckey = Ordkey.composite key time in
-  let fr, v = olc_step t ~ckey (pin t t.root) in
+  let fr, v = Tr.olc_descend t ckey in
   match
     (* The whole read — current-node decode AND chain walk — is guarded
        by [fr]'s version word: the GC drain bumps it before cutting or
@@ -1018,12 +890,9 @@ let lookup_asof_olc t ~key ~time =
       r
 
 let lookup_asof t ~key ~time =
-  if olc_enabled t then
-    Olc.protect
-      ~attempt:(fun () -> lookup_asof_olc t ~key ~time)
-      ~fallback:(fun () -> lookup_asof_latched t ~key ~time)
-      ()
-  else lookup_asof_latched t ~key ~time
+  Tr.read t
+    ~optimistic:(fun () -> lookup_asof_olc t ~key ~time)
+    ~latched:(fun () -> lookup_asof_latched t ~key ~time)
 
 let get_asof t key ~time =
   match lookup_asof t ~key ~time with
@@ -1055,7 +924,7 @@ let () =
 
 let history t key =
   let ckey = Ordkey.composite key max_int in
-  let fr = descend t ~ckey ~target:0 ~mode:Latch.S in
+  let _, fr = Tr.descend t ~key:ckey ~target:0 ~mode:Latch.S in
   let collect p acc =
     let rec go i acc =
       if i >= Tnode.entry_count p then acc
@@ -1116,7 +985,7 @@ let range_asof t ~time ?low ?high ~init ~f =
   (* Collect the distinct user keys present at the current level (every key
      ever written retains at least its newest version there), then resolve
      each as of [time]. *)
-  let fr = descend t ~ckey:start ~target:0 ~mode:Latch.S in
+  let _, fr = Tr.descend t ~key:start ~target:0 ~mode:Latch.S in
   let rec leaves fr acc =
     let p = page fr in
     let acc =
@@ -1131,25 +1000,22 @@ let range_asof t ~time ?low ?high ~init ~f =
       !a
     in
     let sib = Page.side_ptr p in
-    let fhigh = (Tnode.fence p).Bnode.high in
-    unlatch fr Latch.S;
-    unpin t fr;
     let continue_ =
       sib <> Page.nil
       &&
-      match (fhigh, high) with
+      match ((Tnode.fence p).Bnode.high, high) with
       | None, _ -> false
       | Some _, None -> true
       | Some fh, Some h ->
           let fk, _ = Ordkey.decompose fh in
           String.compare fk h < 0
     in
-    if continue_ then begin
-      let sfr = pin t sib in
-      latch sfr Latch.S;
-      leaves sfr acc
+    if continue_ then leaves (Tr.hop t fr Latch.S sib Latch.S) acc
+    else begin
+      unlatch fr Latch.S;
+      unpin t fr;
+      acc
     end
-    else acc
   in
   let keys = List.rev (leaves fr []) in
   List.fold_left
@@ -1337,7 +1203,7 @@ let purge_runs t txn fr =
 let merge_empty t ~ckey =
   let merged = ref 0 in
   Atomic_action.run (mgr t) (fun txn ->
-      let fr = descend t ~ckey ~target:1 ~mode:Latch.U in
+      let _, fr = Tr.descend t ~key:ckey ~target:1 ~mode:Latch.U in
       let pp = page fr in
       let give_up () =
         unlatch fr Latch.U;
@@ -1602,7 +1468,7 @@ let stats t =
     key_splits = Atomic.get t.c_key_splits;
     root_splits = Atomic.get t.c_root_splits;
     history_nodes = Atomic.get t.c_history_nodes;
-    side_traversals = Atomic.get t.c_side;
+    side_traversals = Atomic.get t.trav.side_traversals;
     postings_completed = Atomic.get t.c_posted;
     history_nodes_freed = Atomic.get t.c_drained;
     tombstones_purged = Atomic.get t.c_purged;

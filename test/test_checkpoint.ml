@@ -45,11 +45,11 @@ let test_fuzzy_concurrent_with_writers () =
   in
   (* Checkpoint repeatedly while the writers run. *)
   for _ = 1 to 5 do
-    Env.checkpoint ~mode:`Fuzzy env;
+    Env.checkpoint env;
     Thread.delay 0.001
   done;
   List.iter Domain.join writers;
-  Env.checkpoint ~mode:`Fuzzy env;
+  Env.checkpoint env;
   let total_records = Log_manager.last_lsn (Env.log env) in
   Log_manager.flush_all (Env.log env);
   Env.crash env;
@@ -90,10 +90,10 @@ let test_fuzzy_concurrent_with_aborts () =
         done)
   in
   for _ = 1 to 8 do
-    Env.checkpoint ~mode:`Fuzzy env
+    Env.checkpoint env
   done;
   Domain.join aborter;
-  Env.checkpoint ~mode:`Fuzzy env;
+  Env.checkpoint env;
   Log_manager.flush_all (Env.log env);
   Env.crash env;
   ignore (Env.recover env);
@@ -121,7 +121,7 @@ let test_truncation_floor () =
   let live = Txn_mgr.begin_txn mgr Txn.User in
   Blink.insert ~txn:live t ~key:"live0" ~value:"tentative";
   let live_first = live.Txn.first_lsn in
-  Env.checkpoint ~mode:`Fuzzy env;
+  Env.checkpoint env;
   let log = Env.log env in
   let first = Log_manager.first_lsn log in
   let redo = Log_manager.redo_start log in
@@ -197,7 +197,7 @@ let test_open_from_after_truncation () =
       done;
       ignore (Env.drain env);
       let before = Option.get (Log_manager.file_bytes (Env.log env)) in
-      Env.checkpoint ~mode:`Fuzzy env;
+      Env.checkpoint env;
       let after = Option.get (Log_manager.file_bytes (Env.log env)) in
       Alcotest.(check bool)
         (Printf.sprintf "WAL file shrank (%d -> %d bytes)" before after)
@@ -238,7 +238,7 @@ let test_torn_page_after_truncation () =
   done;
   ignore (Env.drain env);
   (* Flushes every page clean and truncates their history out of the log. *)
-  Env.checkpoint ~mode:`Fuzzy env;
+  Env.checkpoint env;
   Alcotest.(check bool) "history truncated" true
     (Log_manager.first_lsn (Env.log env) > 1);
   (* Re-dirty the pages: the first clean→dirty transition of each page
@@ -286,7 +286,7 @@ let test_ckpt_stats () =
   done;
   ignore (Env.drain env);
   let s0 = Env.stats env in
-  Env.checkpoint ~mode:`Fuzzy env;
+  Env.checkpoint env;
   let s1 = Env.stats env in
   Alcotest.(check int) "checkpoint counted" (s0.Env.checkpoints + 1)
     s1.Env.checkpoints;
@@ -306,7 +306,7 @@ let fpw_cfg = { cfg with pool_capacity = 24; pool_shards = Some 1 }
 let fpw_keys = 800
 let fpw_key i = Printf.sprintf "k%05d" i
 
-(* A tree over [fpw_keys] keys, every page clean after a sharp checkpoint;
+(* A tree over [fpw_keys] keys, every page clean after a quiescent checkpoint;
    returns the env, the tree and the leaf holding key 0. *)
 let fpw_setup ?disk () =
   let env = Env.create ?disk fpw_cfg in
@@ -395,7 +395,7 @@ let test_fpw_once_per_interval () =
         (lsn > last_begin env)
   | l -> Alcotest.failf "expected one image of page %d, got %d" leaf (List.length l));
   (* The next checkpoint's Begin makes the page due again. *)
-  Env.checkpoint ~mode:`Fuzzy env;
+  Env.checkpoint env;
   let b = last_begin env in
   fpw_cycles env t 3;
   let fresh = List.filter (fun lsn -> lsn > b) (images_of env leaf) in
@@ -485,7 +485,7 @@ let test_fpw_race_with_checkpoint () =
         while not (Atomic.get parked) do
           Thread.delay 0.001
         done;
-        Env.checkpoint ~mode:`Fuzzy env;
+        Env.checkpoint env;
         Atomic.set ckpt_done true)
   in
   let skipped = (Env.stats env).Env.page_images_skipped in

@@ -221,7 +221,7 @@ let test_driver_smoke () =
   (* The benchmark driver end to end on a small mixed workload. *)
   let env = Env.create (cfg ()) in
   let t = Blink.create env ~name:"t" in
-  let inst = Pitree_harness.Kv.blink t in
+  let inst = Pitree_blink.Blink_engine.inst t in
   let spec =
     Pitree_harness.Workload.spec ~key_space:500 ~read_pct:60 ~insert_pct:30
       ~delete_pct:10 ~dist:(Pitree_harness.Workload.Zipf 0.9) ()

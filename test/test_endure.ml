@@ -134,7 +134,7 @@ let test_orphans_vs_torn_page () =
         Blink.insert t ~key:(key i) ~value:"v0"
       done;
       (* Quiesce: everything durable, log truncated past the inserts. *)
-      Env.checkpoint ~mode:`Sharp env;
+      Env.checkpoint env;
       (* Epoch 1: first touch after the checkpoint logs the protecting
          full-page image, then a slot replacement. *)
       Blink.insert t ~key:(key 0) ~value:"v1";
@@ -148,7 +148,7 @@ let test_orphans_vs_torn_page () =
       (* Genuine fuzzy checkpoint: write_back cleans the leaf (empty DPT),
          and truncation keeps from the live txn's Begin — dropping the
          epoch-1 image but retaining the two replacements above it. *)
-      Env.checkpoint ~mode:`Fuzzy env;
+      Env.checkpoint env;
       let log = Env.log env in
       Alcotest.(check bool) "orphans retained: log starts mid-epoch" true
         (Log_manager.first_lsn log > 1);

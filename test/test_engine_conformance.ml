@@ -1,10 +1,11 @@
 (* One conformance suite, three engines: every [Pitree_core.Engine.S]
    implementation must agree on the interface's observable contract —
    empty-tree edges, insert/find/overwrite, observed deletes, ordered
-   scans (where served), [?txn] commit/abort, and crash+recover. The
-   suite is generated from a per-engine harness record, so a new engine
-   (or a protocol change in one) picks up the whole battery by adding
-   one record. *)
+   scans (where served), [?txn] commit/abort, crash+recover, and search
+   through missing index terms. The suite is generated from a per-engine
+   harness record, so a new engine (or a protocol change in one) picks up
+   the whole battery by adding one record. It runs under both invariants:
+   CNS (nodes immortal) and CP (consolidation on). *)
 
 module Env = Pitree_env.Env
 module Engine = Pitree_core.Engine
@@ -14,18 +15,19 @@ module Blink = Pitree_blink.Blink
 module Tsb = Pitree_tsb.Tsb
 module Hb = Pitree_hb.Hb
 
-let cfg () =
+let cfg ~cp =
   {
     Env.default_config with
     page_size = 512;
     pool_capacity = 8192;
     page_oriented_undo = false;
-    consolidation = false;
+    consolidation = cp;
   }
 
 type harness = {
   hname : string;
-  make : Env.t -> Engine.instance;
+  make : Env.t -> Engine.instance * (unit -> int);
+      (* the instance, and a reader of its side-traversal counter *)
   reopen : Env.t -> Engine.instance option;
   ordered_scan : bool;
       (* hB hashes keys to points, so ordered scans report 0 by contract *)
@@ -39,7 +41,11 @@ let harnesses =
   [
     {
       hname = "blink";
-      make = (fun env -> Pitree_blink.Blink_engine.inst (Blink.create env ~name:"c"));
+      make =
+        (fun env ->
+          let t = Blink.create env ~name:"c" in
+          ( Pitree_blink.Blink_engine.inst t,
+            fun () -> (Blink.stats t).Blink.side_traversals ));
       reopen =
         (fun env ->
           Option.map Pitree_blink.Blink_engine.inst
@@ -49,7 +55,10 @@ let harnesses =
     };
     {
       hname = "tsb";
-      make = (fun env -> Pitree_tsb.Tsb_engine.inst (Tsb.create env ~name:"c"));
+      make =
+        (fun env ->
+          let t = Tsb.create env ~name:"c" in
+          (Pitree_tsb.Tsb_engine.inst t, fun () -> (Tsb.stats t).Tsb.side_traversals));
       reopen =
         (fun env ->
           Option.map Pitree_tsb.Tsb_engine.inst
@@ -60,7 +69,9 @@ let harnesses =
     {
       hname = "hb";
       make =
-        (fun env -> Pitree_hb.Hb_engine.inst (Hb.create env ~name:"c" ~dims:2));
+        (fun env ->
+          let t = Hb.create env ~name:"c" ~dims:2 in
+          (Pitree_hb.Hb_engine.inst t, fun () -> (Hb.stats t).Hb.side_traversals));
       reopen =
         (fun env ->
           Option.map Pitree_hb.Hb_engine.inst (Hb.open_existing env ~name:"c"));
@@ -72,17 +83,17 @@ let harnesses =
 let key i = Printf.sprintf "k%04d" i
 let get = Alcotest.(check (option string))
 
-let test_empty_tree h () =
-  let env = Env.create (cfg ()) in
-  let e = h.make env in
+let test_empty_tree ~cp h () =
+  let env = Env.create (cfg ~cp) in
+  let e, _ = h.make env in
   get "find on empty" None (Engine.find e (key 0));
   Alcotest.(check bool) "delete on empty" false (Engine.delete e (key 0));
   Alcotest.(check int) "scan on empty" 0 (Engine.scan e ~low:"" ~n:10);
   get "find empty-string key" None (Engine.find e "")
 
-let test_insert_find_overwrite h () =
-  let env = Env.create (cfg ()) in
-  let e = h.make env in
+let test_insert_find_overwrite ~cp h () =
+  let env = Env.create (cfg ~cp) in
+  let e, _ = h.make env in
   for i = 0 to 49 do
     Engine.insert e ~key:(key i) ~value:(Printf.sprintf "v%d" i)
   done;
@@ -94,9 +105,9 @@ let test_insert_find_overwrite h () =
   get "overwrite visible" (Some "updated") (Engine.find e (key 7));
   ignore (Env.drain env)
 
-let test_delete h () =
-  let env = Env.create (cfg ()) in
-  let e = h.make env in
+let test_delete ~cp h () =
+  let env = Env.create (cfg ~cp) in
+  let e, _ = h.make env in
   Engine.insert e ~key:"k" ~value:"v";
   Alcotest.(check bool) "delete live" true (Engine.delete e "k");
   get "deleted" None (Engine.find e "k");
@@ -104,9 +115,9 @@ let test_delete h () =
   Engine.insert e ~key:"k" ~value:"again";
   get "reinsert after delete" (Some "again") (Engine.find e "k")
 
-let test_scan h () =
-  let env = Env.create (cfg ()) in
-  let e = h.make env in
+let test_scan ~cp h () =
+  let env = Env.create (cfg ~cp) in
+  let e, _ = h.make env in
   for i = 0 to 29 do
     Engine.insert e ~key:(key i) ~value:"v"
   done;
@@ -121,9 +132,9 @@ let test_scan h () =
     Alcotest.(check int) "unordered engine reports 0" 0
       (Engine.scan e ~low:"" ~n:100)
 
-let test_txn_commit_abort h () =
-  let env = Env.create (cfg ()) in
-  let e = h.make env in
+let test_txn_commit_abort ~cp h () =
+  let env = Env.create (cfg ~cp) in
+  let e, _ = h.make env in
   let mgr = Env.txns env in
   Engine.insert e ~key:"base" ~value:"v";
   (* Committed transactional writes become visible... *)
@@ -140,9 +151,9 @@ let test_txn_commit_abort h () =
   get "aborted write invisible" None (Engine.find e "ak");
   get "committed survives neighbor abort" (Some "tv") (Engine.find e "tk")
 
-let test_crash_recover h () =
-  let env = Env.create (cfg ()) in
-  let e = h.make env in
+let test_crash_recover ~cp h () =
+  let env = Env.create (cfg ~cp) in
+  let e, _ = h.make env in
   for i = 0 to 39 do
     Engine.insert e ~key:(key i) ~value:(Printf.sprintf "v%d" i)
   done;
@@ -163,18 +174,54 @@ let test_crash_recover h () =
   Engine.insert e ~key:"after" ~value:"crash";
   get "post-recovery insert" (Some "crash") (Engine.find e "after")
 
+(* Splits whose index terms are still queued: explicit transactions never
+   drain the completion queue, so every split past the first leaves its
+   new node reachable only through its left sibling's side pointer. Every
+   key must still be found, by following side pointers; once the queue
+   is drained every term is posted and searches take no side step. *)
+let test_missing_index_term ~cp h () =
+  let env = Env.create (cfg ~cp) in
+  let e, side_hops = h.make env in
+  let mgr = Env.txns env in
+  let n = 200 in
+  let value = String.make 24 'v' in
+  for i = 0 to n - 1 do
+    let txn = Txn_mgr.begin_txn mgr Txn.User in
+    Engine.insert ~txn e ~key:(key i) ~value;
+    Txn_mgr.commit mgr txn
+  done;
+  Alcotest.(check bool) "postings left queued" true (Env.pending env > 0);
+  (* Locked reads leave the queue alone on every engine but hB, whose
+     find drains after its descent. *)
+  let txn = Txn_mgr.begin_txn mgr Txn.User in
+  for i = n - 1 downto 0 do
+    get (key i) (Some value) (Engine.find ~txn e (key i))
+  done;
+  Txn_mgr.commit mgr txn;
+  Alcotest.(check bool) "side pointers followed" true (side_hops () > 0);
+  ignore (Env.drain env);
+  Alcotest.(check int) "queue drained" 0 (Env.pending env);
+  let before = side_hops () in
+  for i = 0 to n - 1 do
+    get (key i) (Some value) (Engine.find e (key i))
+  done;
+  Alcotest.(check int) "no side step once posted" before (side_hops ())
+
+let cases ~cp h =
+  let tag name = if cp then name ^ " (CP)" else name in
+  [
+    Alcotest.test_case (tag "empty tree edges") `Quick (test_empty_tree ~cp h);
+    Alcotest.test_case (tag "insert/find/overwrite") `Quick
+      (test_insert_find_overwrite ~cp h);
+    Alcotest.test_case (tag "observed delete") `Quick (test_delete ~cp h);
+    Alcotest.test_case (tag "scan") `Quick (test_scan ~cp h);
+    Alcotest.test_case (tag "?txn commit/abort") `Quick (test_txn_commit_abort ~cp h);
+    Alcotest.test_case (tag "crash + recover") `Quick (test_crash_recover ~cp h);
+    Alcotest.test_case (tag "missing index term") `Quick
+      (test_missing_index_term ~cp h);
+  ]
+
 let suites =
   List.map
-    (fun h ->
-      ( "engine." ^ h.hname,
-        [
-          Alcotest.test_case "empty tree edges" `Quick (test_empty_tree h);
-          Alcotest.test_case "insert/find/overwrite" `Quick
-            (test_insert_find_overwrite h);
-          Alcotest.test_case "observed delete" `Quick (test_delete h);
-          Alcotest.test_case "scan" `Quick (test_scan h);
-          Alcotest.test_case "?txn commit/abort" `Quick
-            (test_txn_commit_abort h);
-          Alcotest.test_case "crash + recover" `Quick (test_crash_recover h);
-        ] ))
+    (fun h -> ("engine." ^ h.hname, cases ~cp:false h @ cases ~cp:true h))
     harnesses

@@ -447,7 +447,7 @@ let test_pool_storm_sharded () = pool_storm ~shards:8 ()
 let test_pool_storm_single () = pool_storm ~shards:1 ()
 
 let test_pool_flush_all_vs_mutator () =
-  (* flush_all racing page mutators (the sharp-checkpoint path). Each
+  (* flush_all racing page mutators. Each
      mutation rewrites a page's two records to the same fresh token
      under the frame's X latch; a flusher writing mid-mutation would
      persist a torn image with mismatched records. Every disk write is
