@@ -27,7 +27,8 @@ let unpin t fr = Buffer_pool.unpin (pool t) fr
 let page fr = fr.Buffer_pool.page
 let latch fr m = Latch.acquire fr.Buffer_pool.latch m
 let unlatch fr m = Latch.release fr.Buffer_pool.latch m
-let update t txn fr op = ignore (Txn_mgr.update (mgr t) txn fr op)
+let update t txn fr op =
+  if not (Page_op.is_noop op) then ignore (Txn_mgr.update (mgr t) txn fr op)
 
 let create env ~name =
   let root = Env.create_tree env ~name:("btc:" ^ name) ~kind:Page.Data ~level:0 in
@@ -106,25 +107,14 @@ let rec make_room t txn stack idx ~key ~need =
     in
     let lfr = Env.alloc_page t.env txn ~kind:(Page.kind p) ~level:(Page.level p) in
     let rfr = Env.alloc_page t.env txn ~kind:(Page.kind p) ~level:(Page.level p) in
-    update t txn lfr
-      (Page_op.Insert_slot { slot = 0; cell = Node.fence_cell Node.whole_fence });
-    update t txn rfr
-      (Page_op.Insert_slot { slot = 0; cell = Node.fence_cell Node.whole_fence });
-    for i = 0 to s - 1 do
-      update t txn lfr
-        (Page_op.Insert_slot
-           { slot = Node.slot_of_entry i; cell = Page.get p (Node.slot_of_entry i) })
-    done;
-    for i = s to n - 1 do
-      update t txn rfr
-        (Page_op.Insert_slot
-           {
-             slot = Node.slot_of_entry (i - s);
-             cell = Page.get p (Node.slot_of_entry i);
-           })
-    done;
-    let cells = Page.fold p ~init:[] ~f:(fun acc _ c -> c :: acc) in
-    update t txn fr (Page_op.Clear { cells = List.rev cells });
+    let entries = Page_op.cells_from p ~slot:(Node.slot_of_entry 0) in
+    let half keep =
+      Page_op.insert_run ~slot:0
+        (Node.fence_cell Node.whole_fence :: List.filteri (fun i _ -> keep i) entries)
+    in
+    update t txn lfr (half (fun i -> i < s));
+    update t txn rfr (half (fun i -> i >= s));
+    update t txn fr (Page_op.delete_where p (fun _ -> true));
     update t txn fr
       (Page_op.Reformat
          {
@@ -134,13 +124,12 @@ let rec make_room t txn stack idx ~key ~need =
            new_level = Page.level p + 1;
          });
     update t txn fr
-      (Page_op.Insert_slot { slot = 0; cell = Node.fence_cell Node.whole_fence });
-    update t txn fr
-      (Page_op.Insert_slot
-         { slot = 1; cell = Node.index_term_cell ~sep:"" ~child:(Page.id (page lfr)) });
-    update t txn fr
-      (Page_op.Insert_slot
-         { slot = 2; cell = Node.index_term_cell ~sep ~child:(Page.id (page rfr)) });
+      (Page_op.insert_run ~slot:0
+         [
+           Node.fence_cell Node.whole_fence;
+           Node.index_term_cell ~sep:"" ~child:(Page.id (page lfr));
+           Node.index_term_cell ~sep ~child:(Page.id (page rfr));
+         ]);
     (* Replace the root in the stack by the child owning [key]; X-latch it
        (fresh pages are unreachable by others while we hold the root X). *)
     let target, other = if String.compare key sep < 0 then (lfr, rfr) else (rfr, lfr) in
@@ -167,20 +156,10 @@ let rec make_room t txn stack idx ~key ~need =
     in
     let qfr = Env.alloc_page t.env txn ~kind:(Page.kind p) ~level:(Page.level p) in
     update t txn qfr
-      (Page_op.Insert_slot { slot = 0; cell = Node.fence_cell Node.whole_fence });
-    for i = s to n - 1 do
-      update t txn qfr
-        (Page_op.Insert_slot
-           {
-             slot = Node.slot_of_entry (i - s);
-             cell = Page.get p (Node.slot_of_entry i);
-           })
-    done;
-    for i = n - 1 downto s do
-      update t txn fr
-        (Page_op.Delete_slot
-           { slot = Node.slot_of_entry i; cell = Page.get p (Node.slot_of_entry i) })
-    done;
+      (Page_op.insert_run ~slot:0
+         (Node.fence_cell Node.whole_fence
+         :: Page_op.cells_from p ~slot:(Node.slot_of_entry s)));
+    update t txn fr (Page_op.delete_where p (fun i -> i >= Node.slot_of_entry s));
     let term = Node.index_term_cell ~sep ~child:(Page.id (page qfr)) in
     make_room t txn stack (idx - 1) ~key:sep ~need:(String.length term);
     let parent = page stack.(idx - 1) in

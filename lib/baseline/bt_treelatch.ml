@@ -27,7 +27,8 @@ let unpin t fr = Buffer_pool.unpin (pool t) fr
 let page fr = fr.Buffer_pool.page
 let latch fr m = Latch.acquire fr.Buffer_pool.latch m
 let unlatch fr m = Latch.release fr.Buffer_pool.latch m
-let update t txn fr op = ignore (Txn_mgr.update (mgr t) txn fr op)
+let update t txn fr op =
+  if not (Page_op.is_noop op) then ignore (Txn_mgr.update (mgr t) txn fr op)
 
 let create env ~name =
   let root = Env.create_tree env ~name:("btl:" ^ name) ~kind:Page.Data ~level:0 in
@@ -156,21 +157,13 @@ let rec insert_rec t txn pid ~key ~cell =
 and split_and_insert t txn fr ~key ~cell =
   Atomic.incr t.c_splits;
   let p = page fr in
-  let n = Node.entry_count p in
   let s, sep = choose_split p ~key in
   let qfr = Env.alloc_page t.env txn ~kind:(Page.kind p) ~level:(Page.level p) in
   update t txn qfr
-    (Page_op.Insert_slot { slot = 0; cell = Node.fence_cell Node.whole_fence });
-  for i = s to n - 1 do
-    update t txn qfr
-      (Page_op.Insert_slot
-         { slot = Node.slot_of_entry (i - s); cell = Page.get p (Node.slot_of_entry i) })
-  done;
-  for i = n - 1 downto s do
-    update t txn fr
-      (Page_op.Delete_slot
-         { slot = Node.slot_of_entry i; cell = Page.get p (Node.slot_of_entry i) })
-  done;
+    (Page_op.insert_run ~slot:0
+       (Node.fence_cell Node.whole_fence
+       :: Page_op.cells_from p ~slot:(Node.slot_of_entry s)));
+  update t txn fr (Page_op.delete_where p (fun i -> i >= Node.slot_of_entry s));
   let target = if String.compare key sep < 0 then fr else qfr in
   (match Node.find (page target) key with
   | `Found _ -> failwith "bt_treelatch: key reappeared"
@@ -185,16 +178,10 @@ let grow_root t txn ~sep ~right =
   let fr = pin t t.root in
   let p = page fr in
   let lfr = Env.alloc_page t.env txn ~kind:(Page.kind p) ~level:(Page.level p) in
-  let n = Node.entry_count p in
   update t txn lfr
-    (Page_op.Insert_slot { slot = 0; cell = Node.fence_cell Node.whole_fence });
-  for i = 0 to n - 1 do
-    update t txn lfr
-      (Page_op.Insert_slot
-         { slot = Node.slot_of_entry i; cell = Page.get p (Node.slot_of_entry i) })
-  done;
-  let cells = Page.fold p ~init:[] ~f:(fun acc _ c -> c :: acc) in
-  update t txn fr (Page_op.Clear { cells = List.rev cells });
+    (Page_op.insert_run ~slot:0
+       (Node.fence_cell Node.whole_fence :: Page_op.cells_from p ~slot:1));
+  update t txn fr (Page_op.delete_where p (fun _ -> true));
   update t txn fr
     (Page_op.Reformat
        {
@@ -204,12 +191,12 @@ let grow_root t txn ~sep ~right =
          new_level = Page.level p + 1;
        });
   update t txn fr
-    (Page_op.Insert_slot { slot = 0; cell = Node.fence_cell Node.whole_fence });
-  update t txn fr
-    (Page_op.Insert_slot
-       { slot = 1; cell = Node.index_term_cell ~sep:"" ~child:(Page.id (page lfr)) });
-  update t txn fr
-    (Page_op.Insert_slot { slot = 2; cell = Node.index_term_cell ~sep ~child:right });
+    (Page_op.insert_run ~slot:0
+       [
+         Node.fence_cell Node.whole_fence;
+         Node.index_term_cell ~sep:"" ~child:(Page.id (page lfr));
+         Node.index_term_cell ~sep ~child:right;
+       ]);
   unpin t lfr;
   unpin t fr
 

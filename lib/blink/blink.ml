@@ -26,6 +26,7 @@ module Traversal = Pitree_core.Traversal
 let () =
   List.iter Crash_point.register
     [
+      "blink.split.filled";
       "blink.split.linked";
       "blink.split.committed";
       "blink.root.grown";
@@ -159,7 +160,8 @@ type injected_bug =
 let injected_bug = ref No_bug
 
 (* Logged page update under [txn]; caller holds the X latch. *)
-let update t txn fr op = ignore (Txn_mgr.update (mgr t) txn fr op)
+let update t txn fr op =
+  if not (Page_op.is_noop op) then ignore (Txn_mgr.update (mgr t) txn fr op)
 
 (* Leaf-record update by a user transaction. Under non-page-oriented UNDO
    it carries a logical-undo descriptor, because committed independent
@@ -292,7 +294,6 @@ let choose_split p ~pending =
 
 let split_node t txn fr ~pending =
   let p = page fr in
-  let n = Node.entry_count p in
   let s, sep = choose_split p ~pending in
   let f = Node.fence p in
   let qfr =
@@ -304,26 +305,16 @@ let split_node t txn fr ~pending =
      pointer (section 3.2.1 step 3: "include any sibling terms to subspaces
      for which the new node is now responsible"). *)
   update t txn qfr
-    (Page_op.Insert_slot
-       {
-         slot = 0;
-         cell =
-           Node.fence_cell
-             { Node.low = Some sep; high = f.Node.high; resp_high = f.Node.resp_high };
-       });
-  for i = s to n - 1 do
-    let cell = Page.get p (Node.slot_of_entry i) in
-    update t txn qfr
-      (Page_op.Insert_slot { slot = Node.slot_of_entry (i - s); cell })
-  done;
+    (Page_op.insert_run ~slot:0
+       (Node.fence_cell
+          { Node.low = Some sep; high = f.Node.high; resp_high = f.Node.resp_high }
+       :: Page_op.cells_from p ~slot:(Node.slot_of_entry s)));
   if Page.side_ptr p <> Page.nil then
     update t txn qfr
       (Page_op.Set_side_ptr { old_ptr = Page.nil; new_ptr = Page.side_ptr p });
+  Crash_point.hit "blink.split.filled";
   (* Original node: keep [low, sep), delegate the rest to the sibling. *)
-  for i = n - 1 downto s do
-    let cell = Page.get p (Node.slot_of_entry i) in
-    update t txn fr (Page_op.Delete_slot { slot = Node.slot_of_entry i; cell })
-  done;
+  update t txn fr (Page_op.delete_where p (fun i -> i >= Node.slot_of_entry s));
   (* Injected bug 1: drop the X latch after moving the upper records out
      but before shrinking the fence — a reader slipping into the window
      sees the node still claiming [low, old high) with those records
@@ -355,21 +346,13 @@ let split_node t txn fr ~pending =
 let grow_root t txn fr ~pending =
   let sep, qfr = split_node t txn fr ~pending in
   let p = page fr in
-  let n = Node.entry_count p in
   let lfr = Env.alloc_page t.env txn ~kind:(Page.kind p) ~level:(Page.level p) in
   (* Left child takes everything the (post-split) root still holds. *)
-  update t txn lfr
-    (Page_op.Insert_slot { slot = 0; cell = Page.get p 0 });
-  for i = 0 to n - 1 do
-    update t txn lfr
-      (Page_op.Insert_slot
-         { slot = Node.slot_of_entry i; cell = Page.get p (Node.slot_of_entry i) })
-  done;
+  update t txn lfr (Page_op.insert_run ~slot:0 (Page_op.cells_from p ~slot:0));
   update t txn lfr
     (Page_op.Set_side_ptr { old_ptr = Page.nil; new_ptr = Page.id (page qfr) });
   (* Strip the root and raise it one level. *)
-  let cells = Page.fold p ~init:[] ~f:(fun acc _ c -> c :: acc) in
-  update t txn fr (Page_op.Clear { cells = List.rev cells });
+  update t txn fr (Page_op.delete_where p (fun _ -> true));
   update t txn fr
     (Page_op.Set_side_ptr { old_ptr = Page.side_ptr p; new_ptr = Page.nil });
   update t txn fr
@@ -381,19 +364,12 @@ let grow_root t txn fr ~pending =
          new_level = Page.level p + 1;
        });
   update t txn fr
-    (Page_op.Insert_slot { slot = 0; cell = Node.fence_cell Node.whole_fence });
-  update t txn fr
-    (Page_op.Insert_slot
-       {
-         slot = 1;
-         cell = Node.index_term_cell ~sep:"" ~child:(Page.id (page lfr));
-       });
-  update t txn fr
-    (Page_op.Insert_slot
-       {
-         slot = 2;
-         cell = Node.index_term_cell ~sep ~child:(Page.id (page qfr));
-       });
+    (Page_op.insert_run ~slot:0
+       [
+         Node.fence_cell Node.whole_fence;
+         Node.index_term_cell ~sep:"" ~child:(Page.id (page lfr));
+         Node.index_term_cell ~sep ~child:(Page.id (page qfr));
+       ]);
   bump t.c.c_root_splits;
   Crash_point.hit "blink.root.grown";
   (lfr, sep, qfr)
@@ -1353,18 +1329,11 @@ let do_consolidate t ~key ~level =
             else begin
               (* Move C's records into LN (always contained -> containing,
                  section 3.3). *)
-              let n_ln = Node.entry_count lnp in
-              let n_c = Node.entry_count cp in
-              for j = 0 to n_c - 1 do
-                let cell = Page.get cp (Node.slot_of_entry j) in
-                update t txn lnfr
-                  (Page_op.Insert_slot { slot = Node.slot_of_entry (n_ln + j); cell })
-              done;
-              for j = n_c - 1 downto 0 do
-                let cell = Page.get cp (Node.slot_of_entry j) in
-                update t txn cfr
-                  (Page_op.Delete_slot { slot = Node.slot_of_entry j; cell })
-              done;
+              let first = Node.slot_of_entry 0 in
+              update t txn lnfr
+                (Page_op.insert_run ~slot:(Page.slot_count lnp)
+                   (Page_op.cells_from cp ~slot:first));
+              update t txn cfr (Page_op.delete_where cp (fun j -> j >= first));
               Crash_point.hit "blink.merge.moved";
               (* LN takes over C's delegation boundary, responsibility and
                  sibling chain. *)

@@ -79,6 +79,7 @@ type stats = {
   ckpt_bytes_truncated : int;
   page_images : int;
   page_images_skipped : int;
+  page_image_bytes : int;
 }
 
 (* Full-page-write bookkeeping (see [wire_triggers]): the LSN of each
@@ -118,6 +119,7 @@ type t = {
   page_images : int Atomic.t;  (* Page_image records logged *)
   page_images_skipped : int Atomic.t;
       (* clean->dirty transitions covered by an image already logged *)
+  page_image_bytes : int Atomic.t;  (* encoded frame bytes of those images *)
 }
 
 let meta_pid = 1
@@ -340,15 +342,21 @@ let log_image_if_due t f pid page =
   Mutex.unlock f.fpw_mu;
   if not due then Atomic.incr t.page_images_skipped
   else begin
-    let lsn =
-      Log_manager.append !(t.log_ref) ~prev:Lsn.null ~txn:0
+    (* Compact first, under the X latch the dirtying caller holds: the free
+       space becomes one zero run, which the encoder leaves out of the
+       frame. Page ops address slots by index, never by byte offset, so
+       redo over this layout or the durable one gives the same page. *)
+    Page.compact page;
+    let lsn, bytes =
+      Log_manager.append_frame !(t.log_ref) ~prev:Lsn.null ~txn:0
         (Log_record.Page_image
            { page = pid; image = Bytes.to_string (Page.raw page) })
     in
     Mutex.lock f.fpw_mu;
     Hashtbl.replace f.imaged pid lsn;
     Mutex.unlock f.fpw_mu;
-    Atomic.incr t.page_images
+    Atomic.incr t.page_images;
+    ignore (Atomic.fetch_and_add t.page_image_bytes bytes)
   end
 
 let wire_triggers t =
@@ -412,6 +420,7 @@ let make_skeleton disk log_ref cfg =
       fpw = fresh_fpw ();
       page_images = Atomic.make 0;
       page_images_skipped = Atomic.make 0;
+      page_image_bytes = Atomic.make 0;
     }
   in
   wire_triggers t;
@@ -508,9 +517,8 @@ let dealloc_page t txn fr =
   let page = fr.Buffer_pool.page in
   (* Strip the node down to a bare page with invertible operations, in an
      order whose exact reverse (undo) rebuilds it. *)
-  let cells = Page.fold page ~init:[] ~f:(fun acc _ c -> c :: acc) in
-  if cells <> [] then
-    ignore (Txn_mgr.update mgr txn fr (Page_op.Clear { cells = List.rev cells }));
+  if Page.slot_count page > 0 then
+    ignore (Txn_mgr.update mgr txn fr (Page_op.delete_where page (fun _ -> true)));
   if Page.side_ptr page <> Page.nil then
     ignore
       (Txn_mgr.update mgr txn fr
@@ -681,4 +689,5 @@ let stats t =
     ckpt_bytes_truncated = t.ckpt_bytes;
     page_images = Atomic.get t.page_images;
     page_images_skipped = Atomic.get t.page_images_skipped;
+    page_image_bytes = Atomic.get t.page_image_bytes;
   }

@@ -215,6 +215,10 @@ type stats = {
   page_images_skipped : int;
       (** clean→dirty transitions that logged no image because the page
           already had one at or above the latest Begin *)
+  page_image_bytes : int;
+      (** encoded log bytes of those images: each is compacted before it is
+          logged and its free space left out of the frame, so this stays
+          below [page_images * page_size] *)
 }
 
 val stats : t -> stats

@@ -99,6 +99,7 @@ let env_delta (before : Env.stats) (after : Env.stats) =
     page_images = after.Env.page_images - before.Env.page_images;
     page_images_skipped =
       after.Env.page_images_skipped - before.Env.page_images_skipped;
+    page_image_bytes = after.Env.page_image_bytes - before.Env.page_image_bytes;
   }
 
 (* Injection counters are plain monotone counts, so the delta is exact. *)
@@ -153,11 +154,11 @@ let pp_env ppf (e : Env.stats) =
   Fmt.pf ppf
     "env: %d alloc (%d reused) / %d freed pages, %d completions, %d \
      checkpoints (%d pages written back, %d records / %d bytes truncated), \
-     %d page images (%d skipped)"
+     %d page images (%d bytes, %d skipped)"
     e.Env.pages_allocated e.Env.pages_reused e.Env.pages_freed
     e.Env.completions_run e.Env.checkpoints e.Env.ckpt_pages_written
     e.Env.ckpt_records_truncated e.Env.ckpt_bytes_truncated e.Env.page_images
-    e.Env.page_images_skipped
+    e.Env.page_image_bytes e.Env.page_images_skipped
 
 let pp_faults ppf (f : Disk.Faulty.counters) =
   Fmt.pf ppf
@@ -220,11 +221,12 @@ let env_json b (e : Env.stats) =
     "{\"pages_allocated\": %d, \"pages_freed\": %d, \"pages_reused\": %d, \
      \"completions_run\": %d, \"checkpoints\": %d, \"ckpt_pages_written\": \
      %d, \"ckpt_records_truncated\": %d, \"ckpt_bytes_truncated\": %d, \
-     \"page_images\": %d, \"page_images_skipped\": %d}"
+     \"page_images\": %d, \"page_images_skipped\": %d, \
+     \"page_image_bytes\": %d}"
     e.Env.pages_allocated e.Env.pages_freed e.Env.pages_reused
     e.Env.completions_run e.Env.checkpoints e.Env.ckpt_pages_written
     e.Env.ckpt_records_truncated e.Env.ckpt_bytes_truncated e.Env.page_images
-    e.Env.page_images_skipped
+    e.Env.page_images_skipped e.Env.page_image_bytes
 
 let faults_json b (f : Disk.Faulty.counters) =
   Printf.bprintf b

@@ -81,7 +81,8 @@ let page = Traversal.page
 let latch = Traversal.latch
 let unlatch = Traversal.unlatch
 let promote = Traversal.promote
-let update t txn fr op = ignore (Txn_mgr.update (mgr t) txn fr op)
+let update t txn fr op =
+  if not (Page_op.is_noop op) then ignore (Txn_mgr.update (mgr t) txn fr op)
 
 let multi_parent_flag = 1
 
@@ -190,6 +191,16 @@ let choose_extraction ~k ~region ~points =
   in
   go region points 0
 
+(* Fill the new sibling [into] with its header cells [head] and the
+   [moving] records (as listed by a split: point, (slot, value)), then
+   remove those records from [from]: one record per page. *)
+let move_records t txn ~from ~into ~head moving =
+  update t txn into
+    (Page_op.insert_run ~slot:0
+       (head @ List.map (fun (pt, (_, v)) -> record_cell ~point:pt ~value:v) moving));
+  let slots = List.map (fun (_, (slot, _)) -> slot) moving in
+  update t txn from (Page_op.delete_where (page from) (fun i -> List.mem i slots))
+
 (* Fallback data split for nodes whose kd-tree is fragmented (no single
    Here leaf holds two points): extract the heavier kd-root subtree with
    its points and markers — the general hB subtree extraction. *)
@@ -210,20 +221,8 @@ let split_data_subtree t txn fr =
       in
       let moving = List.filter (fun (pt, _) -> brick_contains bq pt) records in
       let qfr = Env.alloc_page t.env txn ~kind:Page.Data ~level:0 in
-      update t txn qfr (Page_op.Insert_slot { slot = 0; cell = brick_cell bq });
-      update t txn qfr (Page_op.Insert_slot { slot = 1; cell = Hkd.encode moved_kd });
-      List.iteri
-        (fun i (pt, (_, v)) ->
-          update t txn qfr
-            (Page_op.Insert_slot { slot = base + i; cell = record_cell ~point:pt ~value:v }))
+      move_records t txn ~from:fr ~into:qfr ~head:[ brick_cell bq; Hkd.encode moved_kd ]
         moving;
-      let slots =
-        List.map (fun (_, (slot, _)) -> slot) moving |> List.sort compare |> List.rev
-      in
-      List.iter
-        (fun slot ->
-          update t txn fr (Page_op.Delete_slot { slot; cell = Page.get p slot }))
-        slots;
       let qpid = Page.id (page qfr) in
       set_kd t txn fr
         (if take_right then
@@ -268,20 +267,9 @@ let split_data_node t txn fr =
       if moving = [] || List.length moving = List.length records then None
       else begin
         let qfr = Env.alloc_page t.env txn ~kind:Page.Data ~level:0 in
-        update t txn qfr (Page_op.Insert_slot { slot = 0; cell = brick_cell b });
-        update t txn qfr
-          (Page_op.Insert_slot { slot = 1; cell = Hkd.encode (Hkd.Leaf Hkd.Here) });
-        List.iteri
-          (fun i (pt, (_, v)) ->
-            update t txn qfr
-              (Page_op.Insert_slot { slot = base + i; cell = record_cell ~point:pt ~value:v }))
+        move_records t txn ~from:fr ~into:qfr
+          ~head:[ brick_cell b; Hkd.encode (Hkd.Leaf Hkd.Here) ]
           moving;
-        (* Remove moved records from the original (highest slots first). *)
-        let slots = List.map (fun (_, (slot, _)) -> slot) moving |> List.sort compare |> List.rev in
-        List.iter
-          (fun slot ->
-            update t txn fr (Page_op.Delete_slot { slot; cell = Page.get p slot }))
-          slots;
         let qpid = Page.id (page qfr) in
         set_kd t txn fr (Hkd.carve kd ~region:brick ~brick:b (Hkd.Sibling qpid));
         Atomic.incr t.c_data_splits;
@@ -352,8 +340,8 @@ let split_index_node t txn fr =
       if Hkd.size moved < 1 || (balanced && Hkd.size moved < 2) then None
       else begin
       let qfr = Env.alloc_page t.env txn ~kind:Page.Index ~level:(Page.level p) in
-      update t txn qfr (Page_op.Insert_slot { slot = 0; cell = brick_cell bq });
-      update t txn qfr (Page_op.Insert_slot { slot = 1; cell = Hkd.encode moved });
+      update t txn qfr
+        (Page_op.insert_run ~slot:0 [ brick_cell bq; Hkd.encode moved ]);
       let qpid = Page.id (page qfr) in
       set_kd t txn fr (new_kd qpid);
       (* Multi-parent marking: children appearing under both halves —
@@ -388,17 +376,13 @@ let grow_root t txn fr ~split_node =
   let p = page fr in
   let brick = node_brick p in
   let lfr = Env.alloc_page t.env txn ~kind:(Page.kind p) ~level:(Page.level p) in
-  let n = Page.slot_count p in
-  for i = 0 to n - 1 do
-    update t txn lfr (Page_op.Insert_slot { slot = i; cell = Page.get p i })
-  done;
+  update t txn lfr (Page_op.insert_run ~slot:0 (Page_op.cells_from p ~slot:0));
   (* The root's page is X-latched by us; nothing reaches L yet, so we can
      split L without latching it. *)
   latch lfr Latch.X;
   let split_result = split_node t txn lfr in
   unlatch lfr Latch.X;
-  let cells = Page.fold p ~init:[] ~f:(fun acc _ c -> c :: acc) in
-  update t txn fr (Page_op.Clear { cells = List.rev cells });
+  update t txn fr (Page_op.delete_where p (fun _ -> true));
   update t txn fr
     (Page_op.Reformat
        {
@@ -407,7 +391,6 @@ let grow_root t txn fr ~split_node =
          old_level = Page.level p;
          new_level = Page.level p + 1;
        });
-  update t txn fr (Page_op.Insert_slot { slot = 0; cell = brick_cell brick });
   let lpid = Page.id (page lfr) in
   let root_kd =
     match split_result with
@@ -416,7 +399,8 @@ let grow_root t txn fr ~split_node =
           (Hkd.Child qpid)
     | None -> Hkd.Leaf (Hkd.Child lpid)
   in
-  update t txn fr (Page_op.Insert_slot { slot = 1; cell = Hkd.encode root_kd });
+  update t txn fr
+    (Page_op.insert_run ~slot:0 [ brick_cell brick; Hkd.encode root_kd ]);
   Atomic.incr t.c_root_splits;
   Crash_point.hit "hb.root.grown";
   unpin t lfr
@@ -811,9 +795,8 @@ let create env ~name ~dims:k =
       let fr = pin t root in
       latch fr Latch.X;
       update t txn fr
-        (Page_op.Insert_slot { slot = 0; cell = brick_cell (whole_brick k) });
-      update t txn fr
-        (Page_op.Insert_slot { slot = 1; cell = Hkd.encode (Hkd.Leaf Hkd.Here) });
+        (Page_op.insert_run ~slot:0
+           [ brick_cell (whole_brick k); Hkd.encode (Hkd.Leaf Hkd.Here) ]);
       (* Remember the dimensionality in the root's flag bits. *)
       update t txn fr (Page_op.Set_flags { old_flags = 0; new_flags = k lsl 8 });
       unlatch fr Latch.X;

@@ -191,6 +191,10 @@ let free_space t =
 
 let will_fit t n = n + slot_overhead <= size t - dir_end t - used_space t
 
+let will_fit_all t cells =
+  List.fold_left (fun acc c -> acc + String.length c + slot_overhead) 0 cells
+  <= size t - dir_end t - used_space t
+
 let can_replace t i n =
   check_index t i ~insert:false;
   let _, old_len = slot t i in
@@ -201,7 +205,8 @@ let compact t =
   let n = slot_count t in
   let cells = Array.init n (fun i -> get t i) in
   let pos = ref (size t) in
-  (* Zero the old heap region for hygiene (optional but keeps images clean). *)
+  (* Zero the old heap region: a logged image's free space must be one zero
+     run, which the log codec leaves out of the frame. *)
   Bytes.fill t.buf (dir_end t) (size t - dir_end t) '\000';
   for i = n - 1 downto 0 do
     let c = cells.(i) in
@@ -254,11 +259,6 @@ let replace t i cell =
        cell, and delete released its slot. *)
     insert t i cell
   end
-
-let clear t =
-  set_slot_count t 0;
-  set_cell_start t (size t);
-  Bytes.fill t.buf header_size (size t - header_size) '\000'
 
 let fold t ~init ~f =
   let n = slot_count t in

@@ -134,8 +134,10 @@ val replace : t -> int -> string -> unit
 (** [replace p i cell] swaps the content of slot [i]. May compact; raises
     [Page_full] if the larger cell cannot fit. *)
 
-val clear : t -> unit
-(** Remove all cells (header preserved). *)
+val compact : t -> unit
+(** Rewrite the cells tightly against the end of the page, in slot order,
+    and zero everything between the slot directory and the first cell.
+    Slot indices and contents are unchanged; only byte offsets move. *)
 
 val free_space : t -> int
 (** Bytes available for one more cell's payload, assuming compaction, net of
@@ -143,6 +145,9 @@ val free_space : t -> int
 
 val will_fit : t -> int -> bool
 (** [will_fit p n]: can a cell of [n] bytes be inserted? *)
+
+val will_fit_all : t -> string list -> bool
+(** Can all of these cells be inserted, one slot each? *)
 
 val can_replace : t -> int -> int -> bool
 (** [can_replace p i n]: can slot [i]'s cell be replaced by one of [n]

@@ -112,7 +112,8 @@ let page = Traversal.page
 let latch = Traversal.latch
 let unlatch = Traversal.unlatch
 let promote = Traversal.promote
-let update t txn fr op = ignore (Txn_mgr.update (mgr t) txn fr op)
+let update t txn fr op =
+  if not (Page_op.is_noop op) then ignore (Txn_mgr.update (mgr t) txn fr op)
 
 let is_history p = Page.flags p land Tnode.history_flag <> 0
 
@@ -165,21 +166,13 @@ let alive_flags p =
 let time_split t txn fr =
   let p = page fr in
   let ts = alloc_ts t txn in
-  let n = Tnode.entry_count p in
   let tc = Tnode.time_of p in
   let hfr = Env.alloc_page t.env txn ~kind:Page.Data ~level:0 in
-  update t txn hfr (Page_op.Insert_slot { slot = 0; cell = Page.get p 0 });
   update t txn hfr
-    (Page_op.Insert_slot
-       {
-         slot = 1;
-         cell = Tnode.time_cell { Tnode.t_low = tc.Tnode.t_low; t_high = Some ts };
-       });
-  for i = 0 to n - 1 do
-    update t txn hfr
-      (Page_op.Insert_slot
-         { slot = Tnode.slot_of_entry i; cell = Page.get p (Tnode.slot_of_entry i) })
-  done;
+    (Page_op.insert_run ~slot:0
+       (Page.get p 0
+       :: Tnode.time_cell { Tnode.t_low = tc.Tnode.t_low; t_high = Some ts }
+       :: Page_op.cells_from p ~slot:(Tnode.slot_of_entry 0)));
   update t txn hfr
     (Page_op.Set_flags { old_flags = 0; new_flags = Tnode.history_flag });
   if Page.aux_ptr p <> Page.nil then
@@ -188,12 +181,9 @@ let time_split t txn fr =
   (* Trim the current node to its alive versions and link the history
      node. *)
   let alive = alive_flags p in
-  for i = n - 1 downto 0 do
-    if not alive.(i) then
-      update t txn fr
-        (Page_op.Delete_slot
-           { slot = Tnode.slot_of_entry i; cell = Page.get p (Tnode.slot_of_entry i) })
-  done;
+  let first = Tnode.slot_of_entry 0 in
+  update t txn fr
+    (Page_op.delete_where p (fun i -> i >= first && not alive.(i - first)));
   update t txn fr
     (Page_op.Replace_slot
        {
@@ -239,22 +229,11 @@ let key_split t txn fr =
         let f = Tnode.fence p in
         let qfr = Env.alloc_page t.env txn ~kind:(Page.kind p) ~level:(Page.level p) in
         update t txn qfr
-          (Page_op.Insert_slot
-             {
-               slot = 0;
-               cell =
-                 Tnode.fence_cell
-                   { Bnode.low = Some sep; high = f.Bnode.high; resp_high = f.Bnode.resp_high };
-             });
-        update t txn qfr (Page_op.Insert_slot { slot = 1; cell = Page.get p 1 });
-        for i = s to n - 1 do
-          update t txn qfr
-            (Page_op.Insert_slot
-               {
-                 slot = Tnode.slot_of_entry (i - s);
-                 cell = Page.get p (Tnode.slot_of_entry i);
-               })
-        done;
+          (Page_op.insert_run ~slot:0
+             (Tnode.fence_cell
+                { Bnode.low = Some sep; high = f.Bnode.high; resp_high = f.Bnode.resp_high }
+             :: Page.get p 1
+             :: Page_op.cells_from p ~slot:(Tnode.slot_of_entry s)));
         if Page.side_ptr p <> Page.nil then
           update t txn qfr
             (Page_op.Set_side_ptr { old_ptr = Page.nil; new_ptr = Page.side_ptr p });
@@ -263,11 +242,7 @@ let key_split t txn fr =
         if Page.aux_ptr p <> Page.nil then
           update t txn qfr
             (Page_op.Set_aux_ptr { old_ptr = Page.nil; new_ptr = Page.aux_ptr p });
-        for i = n - 1 downto s do
-          update t txn fr
-            (Page_op.Delete_slot
-               { slot = Tnode.slot_of_entry i; cell = Page.get p (Tnode.slot_of_entry i) })
-        done;
+        update t txn fr (Page_op.delete_where p (fun i -> i >= Tnode.slot_of_entry s));
         update t txn fr
           (Page_op.Replace_slot
              {
@@ -290,14 +265,7 @@ let key_split t txn fr =
 let grow_root t txn fr ~sep ~right =
   let p = page fr in
   let lfr = Env.alloc_page t.env txn ~kind:(Page.kind p) ~level:(Page.level p) in
-  let n = Tnode.entry_count p in
-  update t txn lfr (Page_op.Insert_slot { slot = 0; cell = Page.get p 0 });
-  update t txn lfr (Page_op.Insert_slot { slot = 1; cell = Page.get p 1 });
-  for i = 0 to n - 1 do
-    update t txn lfr
-      (Page_op.Insert_slot
-         { slot = Tnode.slot_of_entry i; cell = Page.get p (Tnode.slot_of_entry i) })
-  done;
+  update t txn lfr (Page_op.insert_run ~slot:0 (Page_op.cells_from p ~slot:0));
   update t txn lfr
     (Page_op.Set_side_ptr { old_ptr = Page.nil; new_ptr = right });
   if Page.aux_ptr p <> Page.nil then begin
@@ -306,8 +274,7 @@ let grow_root t txn fr ~sep ~right =
     update t txn fr
       (Page_op.Set_aux_ptr { old_ptr = Page.aux_ptr p; new_ptr = Page.nil })
   end;
-  let cells = Page.fold p ~init:[] ~f:(fun acc _ c -> c :: acc) in
-  update t txn fr (Page_op.Clear { cells = List.rev cells });
+  update t txn fr (Page_op.delete_where p (fun _ -> true));
   update t txn fr
     (Page_op.Set_side_ptr { old_ptr = Page.side_ptr p; new_ptr = Page.nil });
   update t txn fr
@@ -319,13 +286,13 @@ let grow_root t txn fr ~sep ~right =
          new_level = Page.level p + 1;
        });
   update t txn fr
-    (Page_op.Insert_slot { slot = 0; cell = Tnode.fence_cell Bnode.whole_fence });
-  update t txn fr (Page_op.Insert_slot { slot = 1; cell = dummy_time });
-  update t txn fr
-    (Page_op.Insert_slot
-       { slot = 2; cell = Tnode.index_term_cell ~sep:"" ~child:(Page.id (page lfr)) });
-  update t txn fr
-    (Page_op.Insert_slot { slot = 3; cell = Tnode.index_term_cell ~sep ~child:right });
+    (Page_op.insert_run ~slot:0
+       [
+         Tnode.fence_cell Bnode.whole_fence;
+         dummy_time;
+         Tnode.index_term_cell ~sep:"" ~child:(Page.id (page lfr));
+         Tnode.index_term_cell ~sep ~child:right;
+       ]);
   Atomic.incr t.c_root_splits;
   unpin t lfr
 
@@ -431,27 +398,15 @@ and index_split t txn fr =
     let f = Tnode.fence p in
     let qfr = Env.alloc_page t.env txn ~kind:Page.Index ~level:(Page.level p) in
     update t txn qfr
-      (Page_op.Insert_slot
-         {
-           slot = 0;
-           cell =
-             Tnode.fence_cell
-               { Bnode.low = Some sep; high = f.Bnode.high; resp_high = f.Bnode.resp_high };
-         });
-    update t txn qfr (Page_op.Insert_slot { slot = 1; cell = dummy_time });
-    for i = s to n - 1 do
-      update t txn qfr
-        (Page_op.Insert_slot
-           { slot = Tnode.slot_of_entry (i - s); cell = Page.get p (Tnode.slot_of_entry i) })
-    done;
+      (Page_op.insert_run ~slot:0
+         (Tnode.fence_cell
+            { Bnode.low = Some sep; high = f.Bnode.high; resp_high = f.Bnode.resp_high }
+         :: dummy_time
+         :: Page_op.cells_from p ~slot:(Tnode.slot_of_entry s)));
     if Page.side_ptr p <> Page.nil then
       update t txn qfr
         (Page_op.Set_side_ptr { old_ptr = Page.nil; new_ptr = Page.side_ptr p });
-    for i = n - 1 downto s do
-      update t txn fr
-        (Page_op.Delete_slot
-           { slot = Tnode.slot_of_entry i; cell = Page.get p (Tnode.slot_of_entry i) })
-    done;
+    update t txn fr (Page_op.delete_where p (fun i -> i >= Tnode.slot_of_entry s));
     update t txn fr
       (Page_op.Replace_slot
          {
@@ -663,10 +618,11 @@ let create env ~name =
       let fr = pin t root in
       latch fr Latch.X;
       update t txn fr
-        (Page_op.Insert_slot { slot = 0; cell = Tnode.fence_cell Bnode.whole_fence });
-      update t txn fr
-        (Page_op.Insert_slot
-           { slot = 1; cell = Tnode.time_cell { Tnode.t_low = 0; t_high = None } });
+        (Page_op.insert_run ~slot:0
+           [
+             Tnode.fence_cell Bnode.whole_fence;
+             Tnode.time_cell { Tnode.t_low = 0; t_high = None };
+           ]);
       unlatch fr Latch.X;
       unpin t fr);
   t
@@ -1183,17 +1139,11 @@ let purge_runs t txn fr =
       | _ -> ());
       i := !s - 1
     done;
-    let purged = ref 0 in
-    for j = n - 1 downto 0 do
-      if doomed.(j) then begin
-        update t txn fr
-          (Page_op.Delete_slot
-             { slot = Tnode.slot_of_entry j; cell = Page.get p (Tnode.slot_of_entry j) });
-        incr purged;
-        Atomic.incr t.c_purged
-      end
-    done;
-    !purged
+    let first = Tnode.slot_of_entry 0 in
+    update t txn fr (Page_op.delete_where p (fun j -> j >= first && doomed.(j - first)));
+    let purged = Array.fold_left (fun a d -> if d then a + 1 else a) 0 doomed in
+    ignore (Atomic.fetch_and_add t.c_purged purged);
+    purged
   end
 
 (* Merge an empty, history-less leaf into its containing (left) sibling —

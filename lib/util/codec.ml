@@ -60,6 +60,11 @@ let get_bytes r =
   r.off <- r.off + n;
   s
 
+let get_blit r dst ~pos ~len =
+  need r len;
+  Bytes.blit_string r.src r.off dst pos len;
+  r.off <- r.off + len
+
 let get_float r = Int64.float_of_bits (get_i64 r)
 
 let set_u16 b off v = Bytes.set_uint16_le b off (v land 0xffff)

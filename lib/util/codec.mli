@@ -42,6 +42,10 @@ val get_int : reader -> int
 val get_bytes : reader -> string
 val get_float : reader -> float
 
+val get_blit : reader -> bytes -> pos:int -> len:int -> unit
+(** Copy the next [len] raw (unprefixed) bytes into the given buffer at
+    [pos]. *)
+
 (* Direct [bytes] accessors for fixed page layouts. *)
 
 val set_u16 : bytes -> int -> int -> unit

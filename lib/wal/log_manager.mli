@@ -48,6 +48,9 @@ val append : t -> prev:Lsn.t -> txn:int -> Log_record.body -> Lsn.t
 (** Assigns the next LSN, encodes and stores the record. Short critical
     section; never does IO. *)
 
+val append_frame : t -> prev:Lsn.t -> txn:int -> Log_record.body -> Lsn.t * int
+(** {!append}, also returning the record's encoded frame length. *)
+
 val flush : ?commits:int -> t -> Lsn.t -> unit
 (** Make everything up to [lsn] durable (group commit, see above). No-op if
     already durable. Returns only once durability covers [lsn]. [commits]

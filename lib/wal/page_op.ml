@@ -15,8 +15,23 @@ type t =
   | Set_side_ptr of { old_ptr : int; new_ptr : int }
   | Set_aux_ptr of { old_ptr : int; new_ptr : int }
   | Set_flags of { old_flags : int; new_flags : int }
-  | Clear of { cells : string list }
-  | Restore of { cells : string list }
+  | Insert_cells of { cells : (int * string) list }
+  | Delete_cells of { cells : (int * string) list }
+
+(* A run must be known to apply whole before it touches the page: the
+   caller applies an op before logging it, so a run raising halfway would
+   leave an unlogged partial change. *)
+let check_run page cells ~insert =
+  ignore
+    (List.fold_left
+       (fun n (slot, _) ->
+         if slot < 0 || slot > (if insert then n else n - 1) then
+           invalid_arg
+             (Printf.sprintf "Page_op: run slot %d out of range (count %d)" slot n);
+         if insert then n + 1 else n - 1)
+       (Page.slot_count page) cells);
+  if insert && not (Page.will_fit_all page (List.map snd cells)) then
+    raise Page.Page_full
 
 let redo page op =
   match op with
@@ -32,9 +47,12 @@ let redo page op =
   | Set_side_ptr { new_ptr; _ } -> Page.set_side_ptr page new_ptr
   | Set_aux_ptr { new_ptr; _ } -> Page.set_aux_ptr page new_ptr
   | Set_flags { new_flags; _ } -> Page.set_flags page new_flags
-  | Clear _ -> Page.clear page
-  | Restore { cells } ->
-      List.iteri (fun i cell -> Page.insert page i cell) cells
+  | Insert_cells { cells } ->
+      check_run page cells ~insert:true;
+      List.iter (fun (slot, cell) -> Page.insert page slot cell) cells
+  | Delete_cells { cells } ->
+      check_run page cells ~insert:false;
+      List.iter (fun (slot, _) -> ignore (Page.delete page slot)) cells
 
 let invert = function
   | Format _ -> Format { kind = Page.Free; level = 0 }
@@ -51,10 +69,28 @@ let invert = function
       Set_aux_ptr { old_ptr = new_ptr; new_ptr = old_ptr }
   | Set_flags { old_flags; new_flags } ->
       Set_flags { old_flags = new_flags; new_flags = old_flags }
-  | Clear { cells } -> Restore { cells }
-  | Restore { cells } -> Clear { cells }
+  | Insert_cells { cells } -> Delete_cells { cells = List.rev cells }
+  | Delete_cells { cells } -> Insert_cells { cells = List.rev cells }
 
-(* Encoding tags. *)
+let is_noop = function
+  | Insert_cells { cells = [] } | Delete_cells { cells = [] } -> true
+  | _ -> false
+
+let insert_run ~slot cells =
+  Insert_cells { cells = List.mapi (fun i cell -> (slot + i, cell)) cells }
+
+let cells_from page ~slot =
+  List.init (Page.slot_count page - slot) (fun i -> Page.get page (slot + i))
+
+let delete_where page f =
+  let rec go i acc =
+    if i >= Page.slot_count page then acc
+    else go (i + 1) (if f i then (i, Page.get page i) :: acc else acc)
+  in
+  Delete_cells { cells = go 0 [] }
+
+(* Encoding tags. 9 and 10 were the whole-page [Clear]/[Restore] ops; old
+   frames carrying them still decode, as the equivalent cell runs. *)
 let tag = function
   | Format _ -> 1
   | Reformat _ -> 2
@@ -64,16 +100,26 @@ let tag = function
   | Set_side_ptr _ -> 6
   | Set_aux_ptr _ -> 7
   | Set_flags _ -> 8
-  | Clear _ -> 9
-  | Restore _ -> 10
+  | Insert_cells _ -> 11
+  | Delete_cells _ -> 12
 
-let put_cells b cells =
-  Codec.put_u32 b (List.length cells);
-  List.iter (Codec.put_bytes b) cells
+let put_run b cells =
+  Codec.put_u16 b (List.length cells);
+  List.iter
+    (fun (slot, cell) ->
+      Codec.put_u16 b slot;
+      Codec.put_bytes b cell)
+    cells
+
+let get_run r =
+  let n = Codec.get_u16 r in
+  List.init n (fun _ ->
+      let slot = Codec.get_u16 r in
+      (slot, Codec.get_bytes r))
 
 let get_cells r =
   let n = Codec.get_u32 r in
-  List.init n (fun _ -> Codec.get_bytes r)
+  List.init n (fun i -> (i, Codec.get_bytes r))
 
 let encode b op =
   Codec.put_u8 b (tag op);
@@ -105,8 +151,7 @@ let encode b op =
   | Set_flags { old_flags; new_flags } ->
       Codec.put_u32 b old_flags;
       Codec.put_u32 b new_flags
-  | Clear { cells } -> put_cells b cells
-  | Restore { cells } -> put_cells b cells
+  | Insert_cells { cells } | Delete_cells { cells } -> put_run b cells
 
 let decode r =
   match Codec.get_u8 r with
@@ -145,8 +190,10 @@ let decode r =
       let old_flags = Codec.get_u32 r in
       let new_flags = Codec.get_u32 r in
       Set_flags { old_flags; new_flags }
-  | 9 -> Clear { cells = get_cells r }
-  | 10 -> Restore { cells = get_cells r }
+  | 9 -> Delete_cells { cells = List.rev (get_cells r) }
+  | 10 -> Insert_cells { cells = get_cells r }
+  | 11 -> Insert_cells { cells = get_run r }
+  | 12 -> Delete_cells { cells = get_run r }
   | n -> raise (Codec.Corrupt (Printf.sprintf "bad page_op tag %d" n))
 
 let pp ppf = function
@@ -160,5 +207,5 @@ let pp ppf = function
   | Set_side_ptr { new_ptr; _ } -> Fmt.pf ppf "side->%d" new_ptr
   | Set_aux_ptr { new_ptr; _ } -> Fmt.pf ppf "aux->%d" new_ptr
   | Set_flags { new_flags; _ } -> Fmt.pf ppf "flags->%d" new_flags
-  | Clear { cells } -> Fmt.pf ppf "clear(%d)" (List.length cells)
-  | Restore { cells } -> Fmt.pf ppf "restore(%d)" (List.length cells)
+  | Insert_cells { cells } -> Fmt.pf ppf "ins*(%d)" (List.length cells)
+  | Delete_cells { cells } -> Fmt.pf ppf "del*(%d)" (List.length cells)

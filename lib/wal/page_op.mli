@@ -24,10 +24,18 @@ type t =
   | Set_side_ptr of { old_ptr : int; new_ptr : int }
   | Set_aux_ptr of { old_ptr : int; new_ptr : int }
   | Set_flags of { old_flags : int; new_flags : int }
-  | Clear of { cells : string list }
-      (** Drop all cells (e.g. moving the old root's content out during a
-          root split); [cells] is the prior content, for undo. *)
-  | Restore of { cells : string list }  (** Inverse of [Clear]. *)
+  | Insert_cells of { cells : (int * string) list }
+      (** A run of [Insert_slot]s in list order, logged as one record: a
+          structure change moves many cells into one page in one step
+          (a split's sibling fill, a root's new child, a merge). *)
+  | Delete_cells of { cells : (int * string) list }
+      (** A run of [Delete_slot]s in list order; each [cell] is the deleted
+          content, needed to undo. The two run ops invert to each other
+          with the list reversed. {!redo} checks that the whole run
+          applies (every slot in range as the run goes, every inserted
+          cell fits) before it touches the page, raising
+          [Invalid_argument] or [Page.Page_full] with the page
+          unchanged. *)
 
 val redo : Pitree_storage.Page.t -> t -> unit
 (** Apply the operation's forward effect. Does NOT touch the page LSN; the
@@ -36,6 +44,20 @@ val redo : Pitree_storage.Page.t -> t -> unit
 val invert : t -> t
 (** The page-local inverse. [redo p (invert op)] after [redo p op] restores
     the page's logical content. *)
+
+val is_noop : t -> bool
+(** An empty cell run: applying it changes nothing, so callers skip it
+    rather than log it. *)
+
+val insert_run : slot:int -> string list -> t
+(** [insert_run ~slot cells] inserts [cells] at slots [slot], [slot + 1], …
+    in order. *)
+
+val delete_where : Pitree_storage.Page.t -> (int -> bool) -> t
+(** Delete every slot [i] of the page with [f i], highest slot first. *)
+
+val cells_from : Pitree_storage.Page.t -> slot:int -> string list
+(** The page's cells from slot [slot] to the last, in slot order. *)
 
 val encode : Buffer.t -> t -> unit
 val decode : Pitree_util.Codec.reader -> t

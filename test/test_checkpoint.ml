@@ -298,6 +298,7 @@ let test_ckpt_stats () =
 (* --- full-page writes: one image per page per checkpoint interval --- *)
 
 module Buffer_pool = Pitree_storage.Buffer_pool
+module Page = Pitree_storage.Page
 module Log_record = Pitree_wal.Log_record
 
 (* A pool of 24 frames in one shard under a tree of ~100 leaves: a sweep of
@@ -497,6 +498,69 @@ let test_fpw_race_with_checkpoint () =
   fpw_write env t "v3";
   tear_and_recover env ctl ~expect:"v3"
 
+(* The leaf of key 0 (pinned): its cells in slot order and its raw image. *)
+let leaf_state t =
+  let fr = Blink.Internal.leaf_for t (fpw_key 0) in
+  let p = fr.Buffer_pool.page in
+  let cells = List.rev (Page.fold p ~init:[] ~f:(fun acc _ c -> c :: acc)) in
+  let raw = Bytes.to_string (Page.raw p) in
+  let dead =
+    let c = Page.copy p in
+    Page.compact c;
+    not (Bytes.equal (Page.raw c) (Page.raw p))
+  in
+  Blink.Internal.release_s t fr;
+  (fr.Buffer_pool.pid, cells, raw, dead)
+
+(* A page image is logged compacted, with its free space left out of the
+   frame. Split key 0's leaf so its heap holds dead bytes, make it clean,
+   then dirty it: the image drops the dead bytes (same cells, new layout),
+   its frame is smaller than a page, and a torn durable copy is rebuilt
+   from it with the same cells in the same slot order. *)
+let test_fpw_compacted_image () =
+  let disk, ctl = Disk.Faulty.wrap ~seed:11L (Disk.in_memory ~page_size:256) in
+  let env, t, _ = fpw_setup ~disk () in
+  let mgr = Env.txns env in
+  let txn = Txn_mgr.begin_txn mgr Txn.User in
+  for i = 0 to 19 do
+    Blink.insert ~txn t ~key:(Printf.sprintf "%s-%02d" (fpw_key 0) i) ~value:"x"
+  done;
+  Txn_mgr.commit mgr txn;
+  ignore (Env.drain env);
+  Env.checkpoint env;
+  let leaf, cells, raw, dead = leaf_state t in
+  Alcotest.(check bool) "the split left dead bytes in the leaf" true dead;
+  let s0 = Env.stats env in
+  fpw_write env t "v1";
+  let s1 = Env.stats env in
+  Alcotest.(check int) "one image" 1 (s1.Env.page_images - s0.Env.page_images);
+  let b = last_begin env in
+  let lsn =
+    match List.filter (fun lsn -> lsn > b) (images_of env leaf) with
+    | [ lsn ] -> lsn
+    | l -> Alcotest.failf "expected one image of page %d, got %d" leaf (List.length l)
+  in
+  let r = Log_manager.read (Env.log env) lsn in
+  let image =
+    match r.Log_record.body with
+    | Log_record.Page_image { image; _ } -> image
+    | _ -> Alcotest.fail "not a page image"
+  in
+  Alcotest.(check int) "the image is a whole page" 256 (String.length image);
+  Alcotest.(check bool) "the image is compacted" true (image <> raw);
+  let imaged = Page.of_bytes ~id:leaf (Bytes.of_string image) in
+  Alcotest.(check (list string)) "the image holds the leaf's cells" cells
+    (List.rev (Page.fold imaged ~init:[] ~f:(fun acc _ c -> c :: acc)));
+  let frame = String.length (Log_record.encode r) in
+  if frame >= 256 then Alcotest.failf "image frame %d B, not below the page size" frame;
+  Alcotest.(check int) "page_image_bytes counts the frame" frame
+    (s1.Env.page_image_bytes - s0.Env.page_image_bytes);
+  let _, written, _, _ = leaf_state t in
+  tear_and_recover env ctl ~expect:"v1";
+  let t = Option.get (Blink.open_existing env ~name:"t") in
+  let _, recovered, _, _ = leaf_state t in
+  Alcotest.(check (list string)) "same cells, same slot order" written recovered
+
 let suites =
   [
     ( "checkpoint",
@@ -523,5 +587,7 @@ let suites =
           test_fpw_torn_after_skip;
         Alcotest.test_case "transition racing a checkpoint's Begin" `Quick
           test_fpw_race_with_checkpoint;
+        Alcotest.test_case "compacted image with a hole" `Quick
+          test_fpw_compacted_image;
       ] );
   ]

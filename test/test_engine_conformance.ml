@@ -14,6 +14,10 @@ module Txn = Pitree_txn.Txn
 module Blink = Pitree_blink.Blink
 module Tsb = Pitree_tsb.Tsb
 module Hb = Pitree_hb.Hb
+module Log_manager = Pitree_wal.Log_manager
+module Log_record = Pitree_wal.Log_record
+module Logical = Pitree_wal.Logical
+module Page_op = Pitree_wal.Page_op
 
 let cfg ~cp =
   {
@@ -34,6 +38,9 @@ type harness = {
   observed_delete : bool;
       (* TSB's delete through [Engine] observes liveness like the others;
          all three currently do — kept explicit for future engines *)
+  undo_puts_before_image : bool;
+      (* overwrites and deletes log a logical [Put] of the record's old
+         cell; TSB writes a new version instead, undone by [Remove] *)
 }
 [@@warning "-69"]
 
@@ -52,6 +59,7 @@ let harnesses =
             (Blink.open_existing env ~name:"c"));
       ordered_scan = true;
       observed_delete = true;
+      undo_puts_before_image = true;
     };
     {
       hname = "tsb";
@@ -65,6 +73,7 @@ let harnesses =
             (Tsb.open_existing env ~name:"c"));
       ordered_scan = true;
       observed_delete = true;
+      undo_puts_before_image = false;
     };
     {
       hname = "hb";
@@ -77,6 +86,7 @@ let harnesses =
           Option.map Pitree_hb.Hb_engine.inst (Hb.open_existing env ~name:"c"));
       ordered_scan = false;
       observed_delete = true;
+      undo_puts_before_image = true;
     };
   ]
 
@@ -149,7 +159,42 @@ let test_txn_commit_abort ~cp h () =
   Engine.insert ~txn e ~key:"ak" ~value:"av";
   Txn_mgr.abort mgr txn;
   get "aborted write invisible" None (Engine.find e "ak");
-  get "committed survives neighbor abort" (Some "tv") (Engine.find e "tk")
+  get "committed survives neighbor abort" (Some "tv") (Engine.find e "tk");
+  (* An overwrite and a delete roll back to the old values, in a live
+     abort and in a loser's rollback at restart. *)
+  let txn = Txn_mgr.begin_txn mgr Txn.User in
+  Engine.insert ~txn e ~key:"base" ~value:"overwritten";
+  ignore (Engine.delete ~txn e "tk");
+  Txn_mgr.abort mgr txn;
+  get "aborted overwrite restored" (Some "v") (Engine.find e "base");
+  get "aborted delete restored" (Some "tv") (Engine.find e "tk");
+  let txn = Txn_mgr.begin_txn mgr Txn.User in
+  Engine.insert ~txn e ~key:"base" ~value:"lost";
+  ignore (Engine.delete ~txn e "tk");
+  Log_manager.flush_all (Env.log env);
+  Env.crash env;
+  ignore (Env.recover env);
+  let e = Option.get (h.reopen env) in
+  get "crash rolls back the overwrite" (Some "v") (Engine.find e "base");
+  get "crash rolls back the delete" (Some "tv") (Engine.find e "tk");
+  (* Those records carry the before-image once: their logical undo is a
+     [Put] of the op's own old cell, which the codec does not repeat. *)
+  let shared = ref 0 in
+  let log = Env.log env in
+  Log_manager.iter_from log (Log_manager.first_lsn log) (fun r ->
+      match r.Log_record.body with
+      | Log_record.Update
+          {
+            op = Page_op.Replace_slot { old_cell = c; _ } | Page_op.Delete_slot { cell = c; _ };
+            lundo = Some { Log_record.comp = Logical.Put { cell }; _ };
+            _;
+          }
+        when String.equal c cell ->
+          incr shared
+      | _ -> ());
+  if h.undo_puts_before_image then
+    Alcotest.(check bool) "overwrites and deletes share their before-image" true
+      (!shared >= 4)
 
 let test_crash_recover ~cp h () =
   let env = Env.create (cfg ~cp) in

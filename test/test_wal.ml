@@ -21,8 +21,8 @@ let sample_ops =
     Page_op.Set_side_ptr { old_ptr = 0; new_ptr = 42 };
     Page_op.Set_aux_ptr { old_ptr = 9; new_ptr = 0 };
     Page_op.Set_flags { old_flags = 0; new_flags = 257 };
-    Page_op.Clear { cells = [ "x"; "yy"; "zzz" ] };
-    Page_op.Restore { cells = [ ""; "q" ] };
+    Page_op.Insert_cells { cells = [ (1, "x"); (2, "yy"); (0, "zzz") ] };
+    Page_op.Delete_cells { cells = [ (4, ""); (0, "q") ] };
   ]
 
 let test_page_op_codec () =
@@ -34,6 +34,21 @@ let test_page_op_codec () =
       if decoded <> op then
         Alcotest.failf "page op roundtrip failed: %a" Page_op.pp op)
     sample_ops
+
+(* Logs written before the cell runs hold whole-page [Clear] (tag 9) and
+   [Restore] (tag 10) ops: they decode as the equivalent runs. *)
+let test_page_op_legacy_tags () =
+  let legacy tag =
+    let b = Buffer.create 16 in
+    Pitree_util.Codec.put_u8 b tag;
+    Pitree_util.Codec.put_u32 b 2;
+    List.iter (Pitree_util.Codec.put_bytes b) [ "x"; "yy" ];
+    Page_op.decode (Pitree_util.Codec.reader (Buffer.contents b))
+  in
+  Alcotest.(check bool) "clear decodes as a delete run" true
+    (legacy 9 = Page_op.Delete_cells { cells = [ (1, "yy"); (0, "x") ] });
+  Alcotest.(check bool) "restore decodes as an insert run" true
+    (legacy 10 = Page_op.insert_run ~slot:0 [ "x"; "yy" ])
 
 let test_page_op_invert_involution () =
   List.iter
@@ -61,7 +76,8 @@ let test_page_op_undo_restores () =
       Page_op.Delete_slot { slot = 0; cell = "zero" };
       Page_op.Replace_slot { slot = 0; old_cell = "zero"; new_cell = "ZERO!" };
       Page_op.Set_side_ptr { old_ptr = 5; new_ptr = 77 };
-      Page_op.Clear { cells = [ "zero"; "one" ] };
+      Page_op.Delete_cells { cells = [ (1, "one"); (0, "zero") ] };
+      Page_op.Insert_cells { cells = [ (0, "a"); (3, "d"); (1, "b") ] };
     ]
   in
   List.iter
@@ -76,6 +92,38 @@ let test_page_op_undo_restores () =
       if restored <> original || Page.side_ptr p <> Page.side_ptr q then
         Alcotest.failf "undo failed to restore after %a" Page_op.pp op)
     ops
+
+(* A cell run that cannot apply whole raises before it touches the page:
+   the caller applies an op before logging it, so a half-applied run would
+   be an unlogged change. *)
+let test_page_op_run_checks_first () =
+  let p = Page.create ~size:128 ~id:1 ~kind:Page.Data ~level:0 in
+  Page.insert p 0 "zero";
+  Page.insert p 1 "one";
+  let before = Bytes.to_string (Page.raw p) in
+  let unchanged what =
+    Alcotest.(check string) (what ^ ": page untouched") before
+      (Bytes.to_string (Page.raw p))
+  in
+  Alcotest.check_raises "run too big" Page.Page_full (fun () ->
+      Page_op.redo p
+        (Page_op.insert_run ~slot:2 [ String.make 40 'a'; String.make 40 'b' ]));
+  unchanged "too big";
+  (match
+     Page_op.redo p (Page_op.Insert_cells { cells = [ (2, "ok"); (5, "bad") ] })
+   with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "out-of-range insert run applied");
+  unchanged "insert out of range";
+  (match
+     Page_op.redo p
+       (Page_op.Delete_cells { cells = [ (1, "one"); (0, "zero"); (0, "gone") ] })
+   with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "over-long delete run applied");
+  unchanged "delete past the end";
+  Page_op.redo p (Page_op.delete_where p (fun _ -> true));
+  Alcotest.(check int) "delete_where empties" 0 (Page.slot_count p)
 
 let roundtrip_record r =
   let decoded = Log_record.decode (Log_record.encode r) in
@@ -123,6 +171,30 @@ let test_log_record_codec () =
         txn = 0;
         body = Log_record.Page_image { page = 4; image = String.make 64 '\xAB' };
       };
+      {
+        lsn = 8;
+        prev = 0;
+        txn = 0;
+        body =
+          Log_record.Update
+            {
+              page = 9;
+              op = Page_op.insert_run ~slot:1 [ "a"; "bb"; "" ];
+              lundo = None;
+            };
+      };
+      {
+        lsn = 8;
+        prev = 0;
+        txn = 0;
+        body =
+          Log_record.Clr
+            {
+              page = 9;
+              op = Page_op.Delete_cells { cells = [ (3, "c"); (1, "a") ] };
+              undo_next = 2;
+            };
+      };
       { lsn = 8; prev = 0; txn = 0; body = Log_record.Begin_checkpoint };
       {
         lsn = 9;
@@ -137,6 +209,96 @@ let test_log_record_codec () =
             };
       };
     ]
+
+let frame_len body =
+  String.length (Log_record.encode { Log_record.lsn = 1; prev = 0; txn = 1; body })
+
+let update ?lundo op = Log_record.Update { page = 3; op; lundo }
+
+(* A logical undo that repeats its op's before-image (or, for hB's
+   [Remove], its op's cell) stores those bytes once: the frame is shorter
+   than the spelled-out form by at least the shared cell, and decodes to the
+   same value. A compensation that differs from the op by one byte is
+   stored in full. *)
+let test_lundo_shares_the_before_image () =
+  let old_cell = String.make 300 'o' and cell = String.make 200 'c' in
+  let lundo comp = Some { Log_record.tree = 7; comp } in
+  let put c = lundo (Logical.Put { cell = c }) in
+  let cases =
+    [
+      ( "replace + put",
+        Page_op.Replace_slot { slot = 2; old_cell; new_cell = "new" },
+        put old_cell,
+        String.length old_cell );
+      ("delete + put", Page_op.Delete_slot { slot = 4; cell }, put cell, String.length cell);
+      ( "insert + remove",
+        Page_op.Insert_slot { slot = 0; cell },
+        lundo (Logical.Remove { key = cell }),
+        String.length cell );
+    ]
+  in
+  List.iter
+    (fun (what, op, lundo, shared) ->
+      let body = update ?lundo op in
+      roundtrip_record { Log_record.lsn = 1; prev = 0; txn = 1; body };
+      (* The same record with its compensation's bytes spelled out: a
+         one-byte difference defeats the sharing. *)
+      let spelled =
+        match lundo with
+        | Some { Log_record.comp = Logical.Put { cell }; tree } ->
+            Some { Log_record.tree; comp = Logical.Put { cell = cell ^ "!" } }
+        | Some { Log_record.comp = Logical.Remove { key }; tree } ->
+            Some { Log_record.tree; comp = Logical.Remove { key = key ^ "!" } }
+        | None -> None
+      in
+      let differs = update ?lundo:spelled op in
+      roundtrip_record { Log_record.lsn = 1; prev = 0; txn = 1; body = differs };
+      let saved = frame_len differs - 1 - frame_len body in
+      if saved < shared then
+        Alcotest.failf "%s: elided form saves %d bytes, expected >= %d" what saved shared)
+    cases;
+  (* A Put that differs from the before-image keeps its own copy. *)
+  let op = Page_op.Replace_slot { slot = 2; old_cell; new_cell = "new" } in
+  let other = "x" ^ String.sub old_cell 1 299 in
+  Alcotest.(check int) "different before-image is not elided"
+    (frame_len (update op) + 4 + 1 + 4 + String.length other)
+    (frame_len (update ?lundo:(put other) op));
+  roundtrip_record
+    { Log_record.lsn = 1; prev = 0; txn = 1; body = update ?lundo:(put other) op }
+
+(* A page image's longest zero run of at least 64 bytes is left out of the
+   frame; shorter runs, odd lengths and images with no zeros round-trip
+   whole. *)
+let test_page_image_hole () =
+  let image ~len ~hole_at ~hole =
+    String.init len (fun i ->
+        if i >= hole_at && i < hole_at + hole then '\000'
+        else Char.chr (1 + (i mod 200)))
+  in
+  let check what img ~saved_at_least =
+    let body = Log_record.Page_image { page = 5; image = img } in
+    roundtrip_record { Log_record.lsn = 1; prev = 0; txn = 0; body };
+    let whole = 4 + 4 + 1 + 24 + 4 + 4 + String.length img + 4 in
+    let saved = whole - frame_len body in
+    if saved < saved_at_least then
+      Alcotest.failf "%s: frame saves %d bytes, expected >= %d" what saved saved_at_least
+  in
+  check "long hole" (image ~len:4096 ~hole_at:1000 ~hole:2500) ~saved_at_least:2480;
+  check "hole at the end" (image ~len:512 ~hole_at:100 ~hole:412) ~saved_at_least:400;
+  check "odd length" (image ~len:1001 ~hole_at:301 ~hole:333) ~saved_at_least:320;
+  check "short hole" (image ~len:512 ~hole_at:10 ~hole:63) ~saved_at_least:0;
+  check "no hole" (image ~len:512 ~hole_at:0 ~hole:0) ~saved_at_least:0;
+  check "all zero" (String.make 4096 '\000') ~saved_at_least:4080;
+  (* Below the minimum run the frame is exactly the whole-image frame. *)
+  let short = image ~len:512 ~hole_at:10 ~hole:63 in
+  Alcotest.(check int) "short run keeps the whole image" (4 + 24 + 1 + 4 + 4 + 512 + 4)
+    (frame_len (Log_record.Page_image { page = 5; image = short }));
+  (* Of several zero runs, the longest is elided. *)
+  let two =
+    String.init 2048 (fun i ->
+        if (i >= 100 && i < 300) || (i >= 900 && i < 1900) then '\000' else 'x')
+  in
+  check "two runs" two ~saved_at_least:980
 
 let test_log_record_crc () =
   let r =
@@ -346,28 +508,77 @@ let test_recovery_idempotent () =
   let r2 = Recovery.run ~log ~pool:pool3 in
   Alcotest.(check (list int)) "no losers second time" [] r2.Recovery.loser_txns
 
-(* Property: encode/decode of random log records. *)
+(* Property: encode/decode of random log records — every op, every lundo
+   form (shared with the op or spelled out), and page images with and
+   without a zero hole. *)
 let prop_log_record_roundtrip =
   let open QCheck in
+  let cell = Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; '\000' ]) (0 -- 12)) in
+  let run = Gen.(small_list (pair small_nat cell)) in
   let op_gen =
     Gen.(
       oneof
         [
-          map2 (fun slot cell -> Page_op.Insert_slot { slot; cell }) small_nat string;
-          map2 (fun slot cell -> Page_op.Delete_slot { slot; cell }) small_nat string;
+          map2 (fun slot cell -> Page_op.Insert_slot { slot; cell }) small_nat cell;
+          map2 (fun slot cell -> Page_op.Delete_slot { slot; cell }) small_nat cell;
+          map3
+            (fun slot old_cell new_cell -> Page_op.Replace_slot { slot; old_cell; new_cell })
+            small_nat cell cell;
           map2
             (fun o n -> Page_op.Set_side_ptr { old_ptr = o; new_ptr = n })
             small_nat small_nat;
-          map (fun cells -> Page_op.Clear { cells }) (small_list string);
+          map (fun cells -> Page_op.Insert_cells { cells }) run;
+          map (fun cells -> Page_op.Delete_cells { cells }) run;
+        ])
+  in
+  (* Compensations drawn from the op's own cells half the time, so the
+     shared forms are exercised as often as the spelled-out ones. *)
+  let own_cells = function
+    | Page_op.Insert_slot { cell; _ } | Page_op.Delete_slot { cell; _ } -> [ cell ]
+    | Page_op.Replace_slot { old_cell; new_cell; _ } -> [ old_cell; new_cell ]
+    | _ -> []
+  in
+  let lundo_gen op =
+    Gen.(
+      let c = oneof (cell :: List.map return (own_cells op)) in
+      oneof
+        [
+          return None;
+          map2
+            (fun tree c -> Some { Log_record.tree; comp = Logical.Put { cell = c } })
+            small_nat c;
+          map2
+            (fun tree c -> Some { Log_record.tree; comp = Logical.Remove { key = c } })
+            small_nat c;
+        ])
+  in
+  let image_gen =
+    Gen.(
+      map3
+        (fun len at hole ->
+          String.init len (fun i ->
+              if i >= at && i < at + hole then '\000' else Char.chr (i land 0xff)))
+        (0 -- 600) (0 -- 600) (0 -- 300))
+  in
+  let body_gen =
+    Gen.(
+      oneof
+        [
+          ( op_gen >>= fun op ->
+            map2 (fun page lundo -> Log_record.Update { page; op; lundo }) small_nat
+              (lundo_gen op) );
+          map3
+            (fun page op undo_next -> Log_record.Clr { page; op; undo_next })
+            small_nat op_gen small_nat;
+          map2 (fun page image -> Log_record.Page_image { page; image }) small_nat image_gen;
         ])
   in
   let record_gen =
     Gen.(
       map2
-        (fun (lsn, prev, txn) (page, op) ->
-          { Log_record.lsn; prev; txn; body = Log_record.Update { page; op; lundo = None } })
+        (fun (lsn, prev, txn) body -> { Log_record.lsn; prev; txn; body })
         (triple small_nat small_nat small_nat)
-        (pair small_nat op_gen))
+        body_gen)
   in
   Test.make ~name:"log record roundtrip" ~count:300 (make record_gen) (fun r ->
       Log_record.decode (Log_record.encode r) = r)
@@ -379,12 +590,18 @@ let suites =
         Alcotest.test_case "codec" `Quick test_page_op_codec;
         Alcotest.test_case "invert involution" `Quick test_page_op_invert_involution;
         Alcotest.test_case "undo restores" `Quick test_page_op_undo_restores;
+        Alcotest.test_case "cell runs check before touching" `Quick
+          test_page_op_run_checks_first;
+        Alcotest.test_case "legacy clear/restore frames" `Quick test_page_op_legacy_tags;
       ] );
     ( "wal.log_record",
       [
         Alcotest.test_case "codec" `Quick test_log_record_codec;
         Alcotest.test_case "crc detects corruption" `Quick test_log_record_crc;
         QCheck_alcotest.to_alcotest prop_log_record_roundtrip;
+        Alcotest.test_case "lundo shares the before-image" `Quick
+          test_lundo_shares_the_before_image;
+        Alcotest.test_case "page image hole" `Quick test_page_image_hole;
       ] );
     ( "wal.log_manager",
       [
