@@ -203,9 +203,10 @@ let publish_begin f begin_lsn =
       replay, and any page cleaned by step 2 has everything below the
       fence durably on disk — while updates appended after the fence are
       covered because the redo point never exceeds begin_lsn;
-   4. append + force End_checkpoint {begin_lsn; dpt; att};
+   4. append End_checkpoint {begin_lsn; dpt; att}, read the oldest live
+      first LSN, and force the log tail;
    5. publish the master record (checkpoint LSN + redo floor);
-   6. truncate the log below min(redo floor, oldest live Begin).
+   6. truncate the log below min(redo floor, oldest live first LSN).
 
    A crash between any two steps recovers from the PREVIOUS complete
    checkpoint: nothing is published until step 5, and truncation only
@@ -221,11 +222,18 @@ let checkpoint t =
       Crash_point.hit crash_point_begin;
       let written = Buffer_pool.write_back t.pool_v in
       let dpt = Buffer_pool.dirty_pages t.pool_v in
+      let att = List.map (fun (id, last) -> (id, last, false)) att in
       let end_lsn =
         Log_manager.append log ~prev:Lsn.null ~txn:0
           (Log_record.End_checkpoint { begin_lsn; dpt; att })
       in
-      Log_manager.flush log end_lsn;
+      (* Read the truncation floor, then force the whole tail, not just
+         End_checkpoint: a transaction leaves the live table when it
+         appends its Commit, which may not be durable yet (an atomic
+         action's never is), and its undo chain must not be truncated
+         before that Commit is. *)
+      let oldest = Txn_mgr.oldest_first_lsn t.txns_v in
+      Log_manager.flush_all log;
       Crash_point.hit crash_point_end;
       let redo =
         List.fold_left (fun acc (_, rec_lsn) -> min acc rec_lsn) begin_lsn dpt
@@ -237,11 +245,9 @@ let checkpoint t =
          (Snapshot.gc_cap). *)
       Snapshot.note_checkpoint (Txn_mgr.snapshots t.txns_v);
       (* Everything below the redo floor AND below the oldest live
-         transaction's Begin can never be read again. *)
+         transaction's first record can never be read again. *)
       let keep_from =
-        match Txn_mgr.oldest_first_lsn t.txns_v with
-        | Some oldest -> min redo oldest
-        | None -> redo
+        match oldest with Some oldest -> min redo oldest | None -> redo
       in
       let wal_before = Log_manager.stats log in
       let dropped = Log_manager.truncate log ~keep_from in

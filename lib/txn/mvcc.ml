@@ -25,7 +25,6 @@
    This layer deliberately knows nothing about any particular engine: trees
    register an [ops] vtable (from Tsb.attach) keyed by root page id. *)
 
-module Log_manager = Pitree_wal.Log_manager
 module Log_record = Pitree_wal.Log_record
 module Crash_point = Pitree_util.Crash_point
 module Sched_hook = Pitree_util.Sched_hook
@@ -263,12 +262,7 @@ let commit mgr txn =
                 (fun ((tree, key), value) ->
                   (ops_for tree).apply txn ~time:ts ~key ~value)
                 writes;
-              let log = Txn_mgr.log mgr in
-              let lsn =
-                Log_manager.append log ~prev:txn.Txn.last_lsn ~txn:txn.Txn.id
-                  (Log_record.Commit_ts { ts })
-              in
-              txn.Txn.last_lsn <- lsn;
+              ignore (Txn_mgr.append mgr txn (Log_record.Commit_ts { ts }));
               Crash_point.hit "mvcc.commit.logged";
               Txn_mgr.commit mgr txn;
               ts)

@@ -14,7 +14,7 @@ type si = {
 type t = {
   id : int;
   kind : kind;
-  first_lsn : Pitree_wal.Lsn.t;  (* the Begin record *)
+  mutable first_lsn : Pitree_wal.Lsn.t;  (* first record; null until one *)
   mutable last_lsn : Pitree_wal.Lsn.t;
   mutable state : state;
   mutable updated_nodes : (int * int) list;

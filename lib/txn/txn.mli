@@ -35,10 +35,11 @@ type si = {
 type t = {
   id : int;
   kind : kind;
-  first_lsn : Pitree_wal.Lsn.t;
-      (** the Begin record's LSN — rollback never needs anything older, so
-          log truncation must keep every record at or above the oldest
-          active transaction's [first_lsn] *)
+  mutable first_lsn : Pitree_wal.Lsn.t;
+      (** the LSN of the transaction's first record ([Lsn.null] until it
+          logs one; no Begin record exists) — rollback never needs
+          anything older, so log truncation must keep every record at or
+          above the oldest live transaction's [first_lsn] *)
   mutable last_lsn : Pitree_wal.Lsn.t;
   mutable state : state;
   mutable updated_nodes : (int * int) list;

@@ -8,18 +8,21 @@ module Buffer_pool = Pitree_storage.Buffer_pool
 module Lock_manager = Pitree_lock.Lock_manager
 
 (* Concurrency discipline for fuzzy checkpoints: every transaction
-   lifecycle append (Begin, Update, Commit, Abort, End) and the matching
-   [last_lsn]/live-table/state update happen inside one [t.mu] critical
-   section, and [begin_checkpoint] appends its Begin_checkpoint fence and
-   snapshots the active-transaction table in one such section too. Mutex
-   order therefore matches LSN order for these records, so the snapshot is
-   exactly the transaction state as of the fence's LSN — no Commit or
-   Update below the fence can be missing from it. CLRs written during a
-   live abort are the one exception (they are appended by the rollback
-   walk, outside [t.mu], without touching [last_lsn]); [begin_checkpoint]
-   simply waits until no abort is in flight ([undoing] = 0), which keeps
-   the snapshot exact without threading an append hook through every
-   logical-undo handler. *)
+   lifecycle append (Update, Commit_ts, Commit, Abort, End) and the
+   matching [first_lsn]/[last_lsn]/live-table/state update happen inside
+   one [t.mu] critical section, and [begin_checkpoint] appends its
+   Begin_checkpoint fence and snapshots the active-transaction table in
+   one such section too. Mutex order therefore matches LSN order for these
+   records, so the snapshot is exactly the transaction state as of the
+   fence's LSN. No Begin record is logged: a transaction starts at its
+   first record, so one that has logged nothing has nothing to undo and is
+   left out of the snapshot. A commit appends one Commit (no End follows)
+   and leaves the live table in the same section, so the snapshot never
+   lists a committed transaction. CLRs written during a live abort are the
+   one exception (they are appended by the rollback walk, outside [t.mu],
+   without touching [last_lsn]); [begin_checkpoint] simply waits until no
+   abort is in flight ([undoing] = 0), which keeps the snapshot exact
+   without threading an append hook through every logical-undo handler. *)
 
 type t = {
   log : Log_manager.t;
@@ -57,17 +60,15 @@ let wal_stats t = Log_manager.stats t.log
 let set_on_user_commit t f = t.on_user_commit <- Some f
 
 let begin_txn t kind =
-  let lkind = match kind with Txn.User -> Log_record.User | Txn.System -> Log_record.System in
   Mutex.lock t.mu;
   let id = t.next_id in
   t.next_id <- id + 1;
-  let lsn = Log_manager.append t.log ~prev:Lsn.null ~txn:id (Log_record.Begin { kind = lkind }) in
   let txn =
     {
       Txn.id;
       kind;
-      first_lsn = lsn;
-      last_lsn = lsn;
+      first_lsn = Lsn.null;
+      last_lsn = Lsn.null;
       state = Txn.Active;
       updated_nodes = [];
       on_commit = [];
@@ -78,6 +79,19 @@ let begin_txn t kind =
   Hashtbl.replace t.live id txn;
   Mutex.unlock t.mu;
   txn
+
+(* Append [body] as [txn]'s next record. The caller holds [t.mu]. *)
+let append_locked t txn body =
+  let lsn = Log_manager.append t.log ~prev:txn.Txn.last_lsn ~txn:txn.Txn.id body in
+  if Lsn.is_null txn.Txn.first_lsn then txn.Txn.first_lsn <- lsn;
+  txn.Txn.last_lsn <- lsn;
+  lsn
+
+let append t txn body =
+  Mutex.lock t.mu;
+  let lsn = append_locked t txn body in
+  Mutex.unlock t.mu;
+  lsn
 
 let update ?lundo t txn fr op =
   assert (Txn.is_active txn);
@@ -95,11 +109,7 @@ let update ?lundo t txn fr op =
   Buffer_pool.mark_dirty fr;
   Page_op.redo fr.Buffer_pool.page op;
   Mutex.lock t.mu;
-  let lsn =
-    Log_manager.append t.log ~prev:txn.Txn.last_lsn ~txn:txn.Txn.id
-      (Log_record.Update { page = pid; op; lundo })
-  in
-  txn.Txn.last_lsn <- lsn;
+  let lsn = append_locked t txn (Log_record.Update { page = pid; op; lundo }) in
   Mutex.unlock t.mu;
   Page.set_lsn fr.Buffer_pool.page lsn;
   lsn
@@ -107,29 +117,22 @@ let update ?lundo t txn fr op =
 let commit ?(commits = 1) t txn =
   assert (Txn.is_active txn);
   Mutex.lock t.mu;
-  let commit_lsn =
-    Log_manager.append t.log ~prev:txn.Txn.last_lsn ~txn:txn.Txn.id Log_record.Commit
-  in
-  txn.Txn.last_lsn <- commit_lsn;
-  (* Committed the moment the record exists: a checkpoint snapshot taken
-     from here on reports the transaction as committed, and log-prefix
-     durability guarantees the Commit record is durable whenever that
-     snapshot's End_checkpoint is. *)
+  let commit_lsn = append_locked t txn Log_record.Commit in
+  (* Committed the moment the record exists, and out of the live table in
+     the same section, so no checkpoint snapshot lists a committed
+     transaction. Env forces the whole log tail before it truncates, so
+     this Commit is durable before the transaction's records can go. *)
   txn.Txn.state <- Txn.Committed;
+  Hashtbl.remove t.live txn.Txn.id;
   Mutex.unlock t.mu;
   (* Relative durability (section 4.3.1): an atomic action's commit record
      is NOT forced; it becomes durable with the next user-transaction commit
-     that shares the log. *)
+     that shares the log. A user commit is forced even when the
+     transaction wrote nothing: its Commit then has a null [prev], and the
+     force still carries earlier atomic actions to disk. *)
   (match txn.Txn.kind with
   | Txn.User -> Log_manager.flush ~commits t.log commit_lsn
   | Txn.System -> ());
-  Mutex.lock t.mu;
-  let end_lsn =
-    Log_manager.append t.log ~prev:commit_lsn ~txn:txn.Txn.id Log_record.End
-  in
-  txn.Txn.last_lsn <- end_lsn;
-  Hashtbl.remove t.live txn.Txn.id;
-  Mutex.unlock t.mu;
   Lock_manager.release_all t.locks ~owner:txn.Txn.id;
   (* The transaction's version timestamps become part of the retired
      prefix only now, after the commit record exists (and, for User
@@ -150,10 +153,7 @@ let abort t txn =
   let from_lsn = txn.Txn.last_lsn in
   Mutex.lock t.mu;
   t.undoing <- t.undoing + 1;
-  let abort_lsn =
-    Log_manager.append t.log ~prev:txn.Txn.last_lsn ~txn:txn.Txn.id Log_record.Abort
-  in
-  txn.Txn.last_lsn <- abort_lsn;
+  let abort_lsn = append_locked t txn Log_record.Abort in
   Mutex.unlock t.mu;
   Fun.protect
     ~finally:(fun () ->
@@ -166,10 +166,9 @@ let abort t txn =
         Recovery.rollback ~prev:abort_lsn ~log:t.log ~pool:t.pool ~txn:txn.Txn.id
           ~from_lsn ()
       in
-      let end_prev = if Lsn.is_null last_clr then abort_lsn else last_clr in
       Mutex.lock t.mu;
-      let end_lsn = Log_manager.append t.log ~prev:end_prev ~txn:txn.Txn.id Log_record.End in
-      txn.Txn.last_lsn <- end_lsn;
+      if not (Lsn.is_null last_clr) then txn.Txn.last_lsn <- last_clr;
+      ignore (append_locked t txn Log_record.End);
       txn.Txn.state <- Txn.Aborted;
       Hashtbl.remove t.live txn.Txn.id;
       Mutex.unlock t.mu);
@@ -195,7 +194,8 @@ let begin_checkpoint t =
   in
   let att =
     Hashtbl.fold
-      (fun id txn acc -> (id, txn.Txn.last_lsn, txn.Txn.state = Txn.Committed) :: acc)
+      (fun id txn acc ->
+        if Lsn.is_null txn.Txn.first_lsn then acc else (id, txn.Txn.last_lsn) :: acc)
       t.live []
   in
   Mutex.unlock t.mu;
@@ -213,7 +213,8 @@ let oldest_first_lsn t =
   Mutex.lock t.mu;
   let v =
     Hashtbl.fold
-      (fun _ txn acc -> min acc txn.Txn.first_lsn)
+      (fun _ txn acc ->
+        if Lsn.is_null txn.Txn.first_lsn then acc else min acc txn.Txn.first_lsn)
       t.live max_int
   in
   Mutex.unlock t.mu;

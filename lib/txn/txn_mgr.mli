@@ -37,6 +37,10 @@ val wal_stats : t -> Pitree_wal.Log_manager.stats
 
 val begin_txn : t -> Txn.kind -> Txn.t
 
+val append : t -> Txn.t -> Pitree_wal.Log_record.body -> Pitree_wal.Lsn.t
+(** Append a record that changes no page, such as [Commit_ts], as the
+    transaction's next record. *)
+
 val update :
   ?lundo:Pitree_wal.Log_record.lundo ->
   t -> Txn.t -> Pitree_storage.Buffer_pool.frame -> Pitree_wal.Page_op.t ->
@@ -46,8 +50,9 @@ val update :
     (non-page-oriented UNDO; see {!Pitree_wal.Logical}). *)
 
 val commit : ?commits:int -> t -> Txn.t -> unit
-(** Appends Commit (+End). Forces the log for [User] transactions only —
-    a [System] commit is relatively durable. Releases the transaction's
+(** Appends one Commit (no End follows). Forces the log for [User]
+    transactions only, even one that wrote nothing — a [System] commit is
+    relatively durable. Releases the transaction's
     locks. [commits] (default 1) is how many logical user commits this
     transaction carries — a combined write batch commits once for N puts —
     and is only forwarded to [Log_manager.flush]'s accounting. *)
@@ -56,14 +61,14 @@ val abort : t -> Txn.t -> unit
 (** Appends Abort, undoes all the transaction's updates (writing CLRs),
     appends End, releases locks. *)
 
-val begin_checkpoint : t -> Pitree_wal.Lsn.t * (int * Pitree_wal.Lsn.t * bool) list
+val begin_checkpoint : t -> Pitree_wal.Lsn.t * (int * Pitree_wal.Lsn.t) list
 (** Open a fuzzy checkpoint: append the [Begin_checkpoint] fence record
-    and snapshot the active-transaction table — (txn id, last LSN,
-    committed?) — in one critical section, so the snapshot is exactly
-    consistent as of the fence's LSN (every lifecycle append shares the
-    same mutex). Waits until no live abort is writing CLRs. Returns the
-    fence LSN and the table, destined for the matching
-    [End_checkpoint]. *)
+    and snapshot the active-transaction table — (txn id, last LSN) of
+    every live transaction that has logged a record — in one critical
+    section, so the snapshot is exactly consistent as of the fence's LSN
+    (every lifecycle append shares the same mutex). Waits until no live
+    abort is writing CLRs. Returns the fence LSN and the table, destined
+    for the matching [End_checkpoint]. *)
 
 val set_on_user_commit : t -> (unit -> unit) -> unit
 (** [f] runs after each user-transaction commit completes (locks
@@ -78,9 +83,9 @@ val active : t -> (int * Pitree_wal.Lsn.t) list
 val active_count : t -> int
 
 val oldest_first_lsn : t -> Pitree_wal.Lsn.t option
-(** The oldest Begin LSN among live transactions ([None] if idle) — the
-    lower bound on what rollback could still need; log truncation must
-    not pass it. *)
+(** The oldest [first_lsn] among live transactions that have logged a
+    record ([None] if none has) — the lower bound on what rollback could
+    still need; log truncation must not pass it. *)
 
 val crash : t -> unit
 (** Forget all volatile transaction state (part of simulated power

@@ -31,9 +31,11 @@ type lundo = { tree : int; comp : Logical.comp }
 
 type body =
   | Begin of { kind : txn_kind }
-  | Commit
+      (** decoded, never appended: older logs start each transaction
+          with one *)
+  | Commit  (** the transaction's last record *)
   | Abort  (** rollback decided; CLRs follow *)
-  | End  (** rollback or commit processing finished *)
+  | End  (** rollback finished (older logs also end commits with one) *)
   | Update of { page : int; op : Page_op.t; lundo : lundo option }
   | Clr of { page : int; op : Page_op.t; undo_next : Lsn.t }
   | Page_image of { page : int; image : string }
@@ -62,8 +64,8 @@ type body =
               [min(begin_lsn, min rec_lsn)] *)
       att : (int * Lsn.t * bool) list;
           (** active-transaction table as of [begin_lsn]: txn id, last
-              LSN, and whether a Commit record was already logged (its
-              End is merely outstanding) *)
+              LSN, and a committed flag that only older checkpoints set
+              (recovery skips such an entry: it is a winner) *)
     }
   | Commit_ts of { ts : int }
       (** the single commit timestamp an SI transaction stamped its write

@@ -90,7 +90,8 @@ let delete_where page f =
   Delete_cells { cells = go 0 [] }
 
 (* Encoding tags. 9 and 10 were the whole-page [Clear]/[Restore] ops; old
-   frames carrying them still decode, as the equivalent cell runs. *)
+   frames carrying them still decode, as the equivalent cell runs. 13 is a
+   [Replace_slot] logged as a delta (see [min_shared]). *)
 let tag = function
   | Format _ -> 1
   | Reformat _ -> 2
@@ -102,6 +103,19 @@ let tag = function
   | Set_flags _ -> 8
   | Insert_cells _ -> 11
   | Delete_cells _ -> 12
+
+(* A [Replace_slot] whose cells share at least [min_shared] bytes of
+   prefix plus suffix logs the new cell as a delta of the old (tag 13),
+   PostgreSQL's heap-update WAL compression; see the interface. *)
+let min_shared = 16
+
+let shared_ends a b =
+  let n = String.length a and m = String.length b in
+  let lim = min n m in
+  let rec pre i = if i < lim && a.[i] = b.[i] then pre (i + 1) else i in
+  let p = pre 0 in
+  let rec suf i = if i < lim - p && a.[n - 1 - i] = b.[m - 1 - i] then suf (i + 1) else i in
+  (min p 0xffff, min (suf 0) 0xffff)
 
 let put_run b cells =
   Codec.put_u16 b (List.length cells);
@@ -122,7 +136,13 @@ let get_cells r =
   List.init n (fun i -> (i, Codec.get_bytes r))
 
 let encode b op =
-  Codec.put_u8 b (tag op);
+  let pre, suf =
+    match op with
+    | Replace_slot { old_cell; new_cell; _ } -> shared_ends old_cell new_cell
+    | _ -> (0, 0)
+  in
+  let delta = pre + suf >= min_shared in
+  Codec.put_u8 b (if delta then 13 else tag op);
   match op with
   | Format { kind; level } ->
       Codec.put_u8 b (Page.kind_to_int kind);
@@ -138,6 +158,14 @@ let encode b op =
   | Delete_slot { slot; cell } ->
       Codec.put_u32 b slot;
       Codec.put_bytes b cell
+  | Replace_slot { slot; old_cell; new_cell } when delta ->
+      let mid = String.length new_cell - pre - suf in
+      Codec.put_u32 b slot;
+      Codec.put_bytes b old_cell;
+      Codec.put_u16 b pre;
+      Codec.put_u16 b suf;
+      Codec.put_u32 b mid;
+      Buffer.add_substring b new_cell pre mid
   | Replace_slot { slot; old_cell; new_cell } ->
       Codec.put_u32 b slot;
       Codec.put_bytes b old_cell;
@@ -194,6 +222,16 @@ let decode r =
   | 10 -> Insert_cells { cells = get_cells r }
   | 11 -> Insert_cells { cells = get_run r }
   | 12 -> Delete_cells { cells = get_run r }
+  | 13 ->
+      let slot = Codec.get_u32 r in
+      let old_cell = Codec.get_bytes r in
+      let pre = Codec.get_u16 r in
+      let suf = Codec.get_u16 r in
+      let n = String.length old_cell in
+      if pre + suf > n then raise (Codec.Corrupt "replace delta past its old cell");
+      let mid = Codec.get_bytes r in
+      let new_cell = String.sub old_cell 0 pre ^ mid ^ String.sub old_cell (n - suf) suf in
+      Replace_slot { slot; old_cell; new_cell }
   | n -> raise (Codec.Corrupt (Printf.sprintf "bad page_op tag %d" n))
 
 let pp ppf = function

@@ -60,6 +60,13 @@ val cells_from : Pitree_storage.Page.t -> slot:int -> string list
 (** The page's cells from slot [slot] to the last, in slot order. *)
 
 val encode : Buffer.t -> t -> unit
+(** A [Replace_slot] whose two cells share at least 16 bytes of prefix plus
+    suffix is encoded as a delta: the old cell in full (undo and the
+    update's shared logical undo, lundo flag 2, read it), then the prefix
+    and suffix lengths (u16 each) and the new cell's middle bytes.
+    {!decode} rebuilds the same op. Replacements sharing fewer bytes keep
+    the full form, both cells whole. *)
+
 val decode : Pitree_util.Codec.reader -> t
 
 val pp : Format.formatter -> t -> unit

@@ -8,7 +8,6 @@ type report = {
   skipped : int;
   loser_txns : int list;
   clrs_written : int;
-  committed_unended : int;
   torn_pages : int;
   retried_reads : int;
   max_commit_ts : int;
@@ -17,10 +16,10 @@ type report = {
 let pp_report ppf r =
   Fmt.pf ppf
     "@[<v>recovery: analyzed=%d redone=%d skipped=%d losers=[%a] clrs=%d \
-     ended=%d torn=%d retried_reads=%d max_commit_ts=%d@]"
+     torn=%d retried_reads=%d max_commit_ts=%d@]"
     r.analyzed r.redone r.skipped
     Fmt.(list ~sep:(any ",") int)
-    r.loser_txns r.clrs_written r.committed_unended r.torn_pages
+    r.loser_txns r.clrs_written r.torn_pages
     r.retried_reads r.max_commit_ts
 
 (* Pages whose durable image failed verification during this restart: they
@@ -70,54 +69,55 @@ let undo_update ~log ~pool ~txn ~prev ~page:pid ~op ~undo_next =
   Buffer_pool.unpin pool fr;
   clr_lsn
 
+(* Undo one record [r] of [txn]: compensate it if it is an update, with a
+   CLR backchained to [prev]. Returns the next record still to undo and
+   the CLR written ([Lsn.null] if none). A transaction's first record has
+   a null [prev], so the walk ends there. *)
+let undo_step ~log ~pool ~txn ~prev r =
+  let undo_next = r.Log_record.prev in
+  match r.Log_record.body with
+  | Log_record.Update { page; op; lundo = None } ->
+      (undo_next, undo_update ~log ~pool ~txn ~prev ~page ~op ~undo_next)
+  | Log_record.Update { lundo = Some { Log_record.tree; comp }; _ } -> (
+      (* Non-page-oriented undo: compensate through the access method (the
+         record may have been moved by committed structure changes). *)
+      match Logical.handler_for tree with
+      | Some h -> (undo_next, h ~tree ~comp ~txn ~prev ~undo_next)
+      | None ->
+          failwith
+            (Printf.sprintf
+               "Recovery: logical-undo record for tree %d but no access-method \
+                handler registered"
+               tree))
+  | Log_record.Clr { undo_next; _ } ->
+      (* Already-undone tail: jump past it. *)
+      (undo_next, Lsn.null)
+  | Log_record.Begin _ | Log_record.Commit | Log_record.Abort | Log_record.End
+  | Log_record.Page_image _ | Log_record.Begin_checkpoint
+  | Log_record.End_checkpoint _ | Log_record.Commit_ts _ ->
+      (undo_next, Lsn.null)
+
 let rollback ?prev ~log ~pool ~txn ~from_lsn () =
   let rec go cur prev last_clr =
     if Lsn.is_null cur then last_clr
     else
       let r = Log_manager.read log cur in
       assert (r.Log_record.txn = txn);
-      match r.Log_record.body with
-      | Log_record.Update { page; op; lundo = None } ->
-          let clr =
-            undo_update ~log ~pool ~txn ~prev ~page ~op
-              ~undo_next:r.Log_record.prev
-          in
-          go r.Log_record.prev clr clr
-      | Log_record.Update { lundo = Some { Log_record.tree; comp }; _ } ->
-          (* Non-page-oriented undo: compensate through the access method
-             (the record may have been moved by committed structure
-             changes). *)
-          let h =
-            match Logical.handler_for tree with
-            | Some h -> h
-            | None ->
-                failwith
-                  (Printf.sprintf
-                     "Recovery: logical-undo record for tree %d but no \
-                      access-method handler registered"
-                     tree)
-          in
-          let clr = h ~tree ~comp ~txn ~prev ~undo_next:r.Log_record.prev in
-          if Lsn.is_null clr then go r.Log_record.prev prev last_clr
-          else go r.Log_record.prev clr clr
-      | Log_record.Clr { undo_next; _ } ->
-          (* Already-undone tail: jump past it. *)
-          go undo_next prev last_clr
-      | Log_record.Begin _ -> last_clr
-      | Log_record.Commit | Log_record.Abort | Log_record.End
-      | Log_record.Page_image _ | Log_record.Begin_checkpoint
-      | Log_record.End_checkpoint _ | Log_record.Commit_ts _ ->
-          go r.Log_record.prev prev last_clr
+      let next, clr = undo_step ~log ~pool ~txn ~prev r in
+      if Lsn.is_null clr then go next prev last_clr else go next clr clr
   in
   go from_lsn (Option.value prev ~default:from_lsn) Lsn.null
-
-type att_entry = { mutable last : Lsn.t; mutable committed : bool }
 
 let run ~log ~pool =
   let torn_before = Atomic.get torn_count in
   let pool_stats_before = Buffer_pool.stats pool in
   (* --- Analysis --- *)
-  let att : (int, att_entry) Hashtbl.t = Hashtbl.create 64 in
+  (* Active-transaction table: txn id -> its last record. A transaction
+     enters at its first record and leaves at its Commit (which is
+     terminal: no End follows it) or at the End of its rollback. Older
+     logs also hold Begin records, which are just first records, and an
+     End after each Commit, which finds nothing to remove. *)
+  let att : (int, Lsn.t) Hashtbl.t = Hashtbl.create 64 in
   let analyzed = ref 0 in
   (* Largest commit timestamp seen during analysis: seeds the reborn
      Snapshot allocator so post-restart timestamps never collide with
@@ -128,10 +128,12 @@ let run ~log ~pool =
      End_checkpoint record, then scan forward from the matching
      Begin_checkpoint — Commit/End records logged between the two fence
      records must still be observed, or a transaction that finished during
-     the checkpoint would be mistaken for a loser. The redo point is
-     min(begin_lsn, min rec_lsn over the dirty-page table): everything
-     below it was in some durable page image when the checkpoint
-     completed. *)
+     the checkpoint would be mistaken for a loser. Checkpoints written by
+     older versions may list a transaction whose Commit was already
+     logged ([committed = true]): it is a winner and is skipped. The redo
+     point is min(begin_lsn, min rec_lsn over the dirty-page table):
+     everything below it was in some durable page image when the
+     checkpoint completed. *)
   let ckpt = Log_manager.checkpoint_lsn log in
   let start, redo_from =
     if Lsn.is_null ckpt then
@@ -142,7 +144,7 @@ let run ~log ~pool =
       | Log_record.End_checkpoint { begin_lsn; dpt; att = ckpt_att } ->
           List.iter
             (fun (txn, lsn, committed) ->
-              Hashtbl.replace att txn { last = lsn; committed })
+              if not committed then Hashtbl.replace att txn lsn)
             ckpt_att;
           let floor =
             List.fold_left (fun acc (_, r) -> min acc r) begin_lsn dpt
@@ -154,21 +156,11 @@ let run ~log ~pool =
   in
   Log_manager.iter_from log start (fun r ->
       incr analyzed;
-      let entry txn =
-        match Hashtbl.find_opt att txn with
-        | Some e -> e
-        | None ->
-            let e = { last = Lsn.null; committed = false } in
-            Hashtbl.replace att txn e;
-            e
-      in
       match r.Log_record.body with
-      | Log_record.Begin _ -> (entry r.Log_record.txn).last <- r.Log_record.lsn
-      | Log_record.Update _ | Log_record.Clr _ ->
-          (entry r.Log_record.txn).last <- r.Log_record.lsn
-      | Log_record.Commit -> (entry r.Log_record.txn).committed <- true
-      | Log_record.Abort -> (entry r.Log_record.txn).last <- r.Log_record.lsn
-      | Log_record.End -> Hashtbl.remove att r.Log_record.txn
+      | Log_record.Begin _ | Log_record.Update _ | Log_record.Clr _
+      | Log_record.Abort ->
+          Hashtbl.replace att r.Log_record.txn r.Log_record.lsn
+      | Log_record.Commit | Log_record.End -> Hashtbl.remove att r.Log_record.txn
       | Log_record.Commit_ts { ts } ->
           max_commit_ts := max !max_commit_ts ts
       | Log_record.Page_image _ | Log_record.Begin_checkpoint
@@ -230,16 +222,7 @@ let run ~log ~pool =
   Buffer_pool.set_image_logger pool fpw;
   Buffer_pool.set_lsn_source pool lsrc;
   (* --- Undo losers --- *)
-  let losers = ref [] and ended = ref 0 and clrs = ref 0 in
-  Hashtbl.iter
-    (fun txn e ->
-      if e.committed then begin
-        (* Winner missing its End record: close it out. *)
-        ignore (Log_manager.append log ~prev:e.last ~txn Log_record.End);
-        incr ended
-      end
-      else losers := (txn, e) :: !losers)
-    att;
+  let losers = Hashtbl.fold (fun txn last acc -> (txn, last) :: acc) att [] in
   let clr_count_before = Log_manager.last_lsn log in
   (* Undo all losers in a single merged backward scan, always taking the
      globally greatest not-yet-undone LSN (ARIES). Per-transaction order
@@ -250,12 +233,10 @@ let run ~log ~pool =
      system transaction's physical slot operations. *)
   let cursors =
     List.map
-      (fun (txn, e) ->
-        let abort_lsn =
-          Log_manager.append log ~prev:e.last ~txn Log_record.Abort
-        in
-        (txn, ref e.last, ref abort_lsn))
-      !losers
+      (fun (txn, last) ->
+        let abort_lsn = Log_manager.append log ~prev:last ~txn Log_record.Abort in
+        (txn, ref last, ref abort_lsn))
+      losers
   in
   let rec undo_pass () =
     let best =
@@ -273,38 +254,9 @@ let run ~log ~pool =
     | Some (txn, next, prev) ->
         let r = Log_manager.read log !next in
         assert (r.Log_record.txn = txn);
-        (match r.Log_record.body with
-        | Log_record.Update { page; op; lundo = None } ->
-            let clr =
-              undo_update ~log ~pool ~txn ~prev:!prev ~page ~op
-                ~undo_next:r.Log_record.prev
-            in
-            prev := clr;
-            next := r.Log_record.prev
-        | Log_record.Update { lundo = Some { Log_record.tree; comp }; _ } ->
-            let h =
-              match Logical.handler_for tree with
-              | Some h -> h
-              | None ->
-                  failwith
-                    (Printf.sprintf
-                       "Recovery: logical-undo record for tree %d but no \
-                        access-method handler registered"
-                       tree)
-            in
-            let clr =
-              h ~tree ~comp ~txn ~prev:!prev ~undo_next:r.Log_record.prev
-            in
-            if not (Lsn.is_null clr) then prev := clr;
-            next := r.Log_record.prev
-        | Log_record.Clr { undo_next; _ } ->
-            (* Already-undone tail: jump past it. *)
-            next := undo_next
-        | Log_record.Begin _ -> next := Lsn.null
-        | Log_record.Commit | Log_record.Abort | Log_record.End
-        | Log_record.Page_image _ | Log_record.Begin_checkpoint
-        | Log_record.End_checkpoint _ | Log_record.Commit_ts _ ->
-            next := r.Log_record.prev);
+        let n, clr = undo_step ~log ~pool ~txn ~prev:!prev r in
+        if not (Lsn.is_null clr) then prev := clr;
+        next := n;
         undo_pass ()
   in
   undo_pass ();
@@ -312,7 +264,7 @@ let run ~log ~pool =
     (fun (txn, _, prev) ->
       ignore (Log_manager.append log ~prev:!prev ~txn Log_record.End))
     cursors;
-  clrs := Log_manager.last_lsn log - clr_count_before - (2 * List.length !losers);
+  let clrs = Log_manager.last_lsn log - clr_count_before - (2 * List.length losers) in
   Log_manager.flush_all log;
   (* End-of-restart flush (ARIES takes a checkpoint here). Pages redone
      above were dirtied with the image logger suppressed, so their old —
@@ -327,9 +279,8 @@ let run ~log ~pool =
     analyzed = !analyzed;
     redone = !redone;
     skipped = !skipped;
-    loser_txns = List.map fst !losers;
-    clrs_written = !clrs;
-    committed_unended = !ended;
+    loser_txns = List.map fst losers;
+    clrs_written = clrs;
     torn_pages = Atomic.get torn_count - torn_before;
     retried_reads =
       pool_stats_after.Buffer_pool.retried_reads

@@ -21,7 +21,6 @@ type report = {
   skipped : int;       (** redo skipped because the page was already current *)
   loser_txns : int list;  (** transactions rolled back *)
   clrs_written : int;
-  committed_unended : int;  (** winners that just needed an End record *)
   torn_pages : int;
       (** pages whose durable image failed checksum verification (torn
           write or bit rot) and were rebuilt purely from redo history *)

@@ -116,8 +116,8 @@ let test_truncation_floor () =
   done;
   ignore (Env.drain env);
   let mgr = Env.txns env in
-  (* A live transaction whose Begin predates the checkpoint: its records
-     must survive truncation so a later abort can roll it back. *)
+  (* A live transaction whose first record predates the checkpoint: its
+     records must survive truncation so a later abort can roll it back. *)
   let live = Txn_mgr.begin_txn mgr Txn.User in
   Blink.insert ~txn:live t ~key:"live0" ~value:"tentative";
   let live_first = live.Txn.first_lsn in

@@ -128,8 +128,9 @@ let test_waiters_all_released () =
             done))
   in
   List.iter Domain.join handles;
-  (* Every commit's flush returned, so only End records appended after the
-     chronologically last flush (at most one per domain) can be volatile. *)
+  (* Every commit's flush returned and a Commit is its transaction's last
+     record, so at most a few records appended after the chronologically
+     last flush can be volatile. *)
   Alcotest.(check bool) "durable horizon covers all commits" true
     (Log_manager.flushed_lsn log >= Log_manager.last_lsn log - 4);
   let s = Log_manager.stats log in

@@ -4,6 +4,7 @@
 module Page = Pitree_storage.Page
 module Disk = Pitree_storage.Disk
 module Buffer_pool = Pitree_storage.Buffer_pool
+module Lsn = Pitree_wal.Lsn
 module Log_manager = Pitree_wal.Log_manager
 module Log_record = Pitree_wal.Log_record
 module Page_op = Pitree_wal.Page_op
@@ -52,6 +53,58 @@ let test_system_commit_not_forced () =
   Txn_mgr.commit mgr u;
   Alcotest.(check bool) "carried to durability by user commit" true
     (Log_manager.flushed_lsn log >= Log_manager.last_lsn log - 1)
+
+(* Every record appended after [from], as (prev, body) in LSN order. *)
+let records_since log from =
+  let l = ref [] in
+  Log_manager.iter_from log (from + 1) (fun r ->
+      l := (r.Log_record.prev, r.Log_record.body) :: !l);
+  List.rev !l
+
+let kind_of = function
+  | Log_record.Begin _ -> "begin"
+  | Log_record.Update _ -> "update"
+  | Log_record.Commit -> "commit"
+  | Log_record.End -> "end"
+  | Log_record.Abort -> "abort"
+  | _ -> "other"
+
+(* No Begin or End brackets: a writing transaction starts at its first
+   update, whose [prev] is null, and a commit appends exactly one Commit. *)
+let test_commit_logs_updates_and_one_commit () =
+  let log, pool, mgr = setup () in
+  let txn = Txn_mgr.begin_txn mgr Txn.User in
+  Alcotest.(check int) "begin appends nothing" 0 (Log_manager.last_lsn log);
+  Alcotest.(check bool) "no first record yet" true (Lsn.is_null txn.Txn.first_lsn);
+  let fr = fresh_page mgr txn pool 5 in
+  ignore (Txn_mgr.update mgr txn fr (Page_op.Insert_slot { slot = 0; cell = "x" }));
+  Buffer_pool.unpin pool fr;
+  Alcotest.(check int) "first record sets first_lsn" 1 txn.Txn.first_lsn;
+  Txn_mgr.commit mgr txn;
+  let recs = records_since log 0 in
+  Alcotest.(check (list string)) "updates then one commit"
+    [ "update"; "update"; "commit" ]
+    (List.map (fun (_, b) -> kind_of b) recs);
+  Alcotest.(check (list int)) "backchain starts at null" [ 0; 1; 2 ] (List.map fst recs);
+  Alcotest.(check int) "commit forced" 3 (Log_manager.flushed_lsn log);
+  Alcotest.(check int) "gone from the live table" 0 (Txn_mgr.active_count mgr)
+
+(* A user transaction that wrote nothing still logs one Commit and forces
+   it; an atomic action that logged nothing logs one unforced Commit. *)
+let test_empty_commits () =
+  let log, _pool, mgr = setup () in
+  let a = Txn_mgr.begin_txn mgr Txn.System in
+  Txn_mgr.commit mgr a;
+  Alcotest.(check (list string)) "empty action: one commit" [ "commit" ]
+    (List.map (fun (_, b) -> kind_of b) (records_since log 0));
+  Alcotest.(check int) "empty action: not forced" 0 (Log_manager.flushed_lsn log);
+  let u = Txn_mgr.begin_txn mgr Txn.User in
+  Txn_mgr.commit mgr u;
+  let recs = records_since log 1 in
+  Alcotest.(check (list string)) "empty user commit: one commit" [ "commit" ]
+    (List.map (fun (_, b) -> kind_of b) recs);
+  Alcotest.(check (list int)) "its prev is null" [ 0 ] (List.map fst recs);
+  Alcotest.(check int) "empty user commit: forced" 2 (Log_manager.flushed_lsn log)
 
 let test_abort_undoes () =
   let _log, pool, mgr = setup () in
@@ -164,6 +217,9 @@ let suites =
       [
         Alcotest.test_case "user commit forces" `Quick test_commit_forces_user_log;
         Alcotest.test_case "system commit relative" `Quick test_system_commit_not_forced;
+        Alcotest.test_case "commit logs updates and one commit" `Quick
+          test_commit_logs_updates_and_one_commit;
+        Alcotest.test_case "empty commits" `Quick test_empty_commits;
       ] );
     ( "txn.lifecycle",
       [

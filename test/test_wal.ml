@@ -508,12 +508,254 @@ let test_recovery_idempotent () =
   let r2 = Recovery.run ~log ~pool:pool3 in
   Alcotest.(check (list int)) "no losers second time" [] r2.Recovery.loser_txns
 
+(* A fresh in-memory log and pool, and a raw logged update: the recovery
+   scenarios below build their logs record by record. *)
+let raw_env () =
+  let disk = Disk.in_memory ~page_size:256 in
+  let log = Log_manager.create () in
+  let pool =
+    Buffer_pool.create ~capacity:16 ~disk ~wal_flush:(fun l -> Log_manager.flush log l) ()
+  in
+  let apply txn prev fr op =
+    let lsn =
+      Log_manager.append log ~prev ~txn
+        (Log_record.Update { page = Page.id fr.Buffer_pool.page; op; lundo = None })
+    in
+    Page_op.redo fr.Buffer_pool.page op;
+    Page.set_lsn fr.Buffer_pool.page lsn;
+    Buffer_pool.mark_dirty fr;
+    lsn
+  in
+  (disk, log, pool, apply)
+
+(* Crash with the whole log durable and no page on disk, then restart. *)
+let crash_and_recover disk log pool =
+  Log_manager.flush_all log;
+  Buffer_pool.crash pool;
+  let log = Log_manager.crash log in
+  let pool =
+    Buffer_pool.create ~capacity:16 ~disk ~wal_flush:(fun l -> Log_manager.flush log l) ()
+  in
+  let report = Recovery.run ~log ~pool in
+  (log, pool, report)
+
+let cells pool pid =
+  let fr = Buffer_pool.pin pool pid in
+  let l = Page.fold fr.Buffer_pool.page ~init:[] ~f:(fun acc _ c -> c :: acc) in
+  Buffer_pool.unpin pool fr;
+  List.rev l
+
+(* No Begin records: a transaction starts at its first record, an Update
+   with a null [prev]. A loser that starts that way is undone whole, and a
+   winner needs nothing after its Commit. *)
+let test_recovery_loser_without_begin () =
+  let disk, log, pool, apply = raw_env () in
+  let fr = Buffer_pool.pin_new pool 5 in
+  let u1 = apply 1 0 fr (Page_op.Format { kind = Page.Data; level = 0 }) in
+  let u2 = apply 1 u1 fr (Page_op.Insert_slot { slot = 0; cell = "winner" }) in
+  ignore (Log_manager.append log ~prev:u2 ~txn:1 Log_record.Commit);
+  let l1 = apply 2 0 fr (Page_op.Insert_slot { slot = 1; cell = "loser" }) in
+  let l2 =
+    apply 2 l1 fr
+      (Page_op.Replace_slot { slot = 0; old_cell = "winner"; new_cell = "clobbered" })
+  in
+  ignore (apply 2 l2 fr (Page_op.Insert_slot { slot = 0; cell = "loser2" }));
+  Buffer_pool.unpin pool fr;
+  let before = Log_manager.last_lsn log in
+  let log, pool, report = crash_and_recover disk log pool in
+  Alcotest.(check (list int)) "loser identified" [ 2 ] report.Recovery.loser_txns;
+  Alcotest.(check int) "three CLRs" 3 report.Recovery.clrs_written;
+  Alcotest.(check (list string)) "loser fully undone" [ "winner" ] (cells pool 5);
+  (* Restart appended the loser's Abort, CLRs and End, and nothing for the
+     winner. *)
+  let appended = ref [] in
+  Log_manager.iter_from log (before + 1) (fun r ->
+      appended := (r.Log_record.txn, r.Log_record.body) :: !appended);
+  Alcotest.(check bool) "only the loser's records" true
+    (List.for_all (fun (txn, _) -> txn = 2) !appended);
+  Alcotest.(check int) "abort, three CLRs, end" 5 (List.length !appended)
+
+(* Logs written before Begin/End were dropped still recover: Begin is just
+   a first record, the End after a Commit finds nothing to close, and a
+   checkpoint ATT entry marked committed is a winner. *)
+let test_recovery_old_format () =
+  let disk, log, pool, apply = raw_env () in
+  let fr = Buffer_pool.pin_new pool 5 in
+  let b1 =
+    Log_manager.append log ~prev:0 ~txn:1 (Log_record.Begin { kind = Log_record.User })
+  in
+  let u1 = apply 1 b1 fr (Page_op.Format { kind = Page.Data; level = 0 }) in
+  let u2 = apply 1 u1 fr (Page_op.Insert_slot { slot = 0; cell = "one" }) in
+  let c1 = Log_manager.append log ~prev:u2 ~txn:1 Log_record.Commit in
+  (* Transaction 2 has committed but not ended when the checkpoint runs:
+     the old checkpoint lists it with [committed = true]. *)
+  let b2 =
+    Log_manager.append log ~prev:0 ~txn:2 (Log_record.Begin { kind = Log_record.System })
+  in
+  let u3 = apply 2 b2 fr (Page_op.Insert_slot { slot = 1; cell = "two" }) in
+  let c2 = Log_manager.append log ~prev:u3 ~txn:2 Log_record.Commit in
+  ignore (Log_manager.append log ~prev:c1 ~txn:1 Log_record.End);
+  let bc = Log_manager.append log ~prev:0 ~txn:0 Log_record.Begin_checkpoint in
+  let ec =
+    Log_manager.append log ~prev:0 ~txn:0
+      (Log_record.End_checkpoint
+         { begin_lsn = bc; dpt = [ (5, u1) ]; att = [ (2, c2, true) ] })
+  in
+  Log_manager.flush_all log;
+  Log_manager.set_checkpoint log ~lsn:ec ~redo:u1;
+  ignore (Log_manager.append log ~prev:c2 ~txn:2 Log_record.End);
+  Buffer_pool.unpin pool fr;
+  let _log, pool, report = crash_and_recover disk log pool in
+  Alcotest.(check (list int)) "no loser" [] report.Recovery.loser_txns;
+  Alcotest.(check int) "no CLRs" 0 report.Recovery.clrs_written;
+  Alcotest.(check (list string)) "both winners redone" [ "one"; "two" ] (cells pool 5);
+  (* The same log with the trailing End lost still has no loser. *)
+  let disk, log, pool, apply = raw_env () in
+  let fr = Buffer_pool.pin_new pool 5 in
+  let b1 =
+    Log_manager.append log ~prev:0 ~txn:1 (Log_record.Begin { kind = Log_record.User })
+  in
+  let u1 = apply 1 b1 fr (Page_op.Format { kind = Page.Data; level = 0 }) in
+  let c1 = Log_manager.append log ~prev:u1 ~txn:1 Log_record.Commit in
+  let bc = Log_manager.append log ~prev:0 ~txn:0 Log_record.Begin_checkpoint in
+  let ec =
+    Log_manager.append log ~prev:0 ~txn:0
+      (Log_record.End_checkpoint
+         { begin_lsn = bc; dpt = [ (5, u1) ]; att = [ (1, c1, true) ] })
+  in
+  Log_manager.flush_all log;
+  Log_manager.set_checkpoint log ~lsn:ec ~redo:u1;
+  Buffer_pool.unpin pool fr;
+  let _log, _pool, report = crash_and_recover disk log pool in
+  Alcotest.(check (list int)) "committed, never ended: no loser" []
+    report.Recovery.loser_txns
+
+(* A transaction that has logged nothing is left out of a checkpoint's ATT
+   and pins no log: its first record will lie above the fence. Once it
+   logs, it is listed and pins its first record; once it commits, neither. *)
+let test_checkpoint_skips_empty_txn () =
+  let module Env = Pitree_env.Env in
+  let module Txn = Pitree_txn.Txn in
+  let module Txn_mgr = Pitree_txn.Txn_mgr in
+  let module Blink = Pitree_blink.Blink in
+  let env = Env.create { Env.default_config with page_size = 256; pool_capacity = 256 } in
+  let t = Blink.create env ~name:"t" in
+  let mgr = Env.txns env in
+  let att () =
+    let log = Env.log env in
+    match (Log_manager.read log (Log_manager.checkpoint_lsn log)).Log_record.body with
+    | Log_record.End_checkpoint { att; _ } -> att
+    | _ -> Alcotest.fail "checkpoint LSN is not an End_checkpoint"
+  in
+  let listed txn = List.exists (fun (id, _, _) -> id = txn.Txn.id) (att ()) in
+  let txn = Txn_mgr.begin_txn mgr Txn.User in
+  Env.checkpoint env;
+  Alcotest.(check bool) "empty txn not in the ATT" false (listed txn);
+  Alcotest.(check (option int)) "empty txn pins nothing" None (Txn_mgr.oldest_first_lsn mgr);
+  Blink.insert ~txn t ~key:"k" ~value:"v";
+  Env.checkpoint env;
+  Alcotest.(check bool) "writing txn in the ATT" true (listed txn);
+  Alcotest.(check bool) "no entry marked committed" true
+    (List.for_all (fun (_, _, committed) -> not committed) (att ()));
+  Alcotest.(check (option int)) "writing txn pins its first record"
+    (Some txn.Txn.first_lsn) (Txn_mgr.oldest_first_lsn mgr);
+  Txn_mgr.commit mgr txn;
+  Env.checkpoint env;
+  Alcotest.(check bool) "committed txn not in the ATT" false (listed txn);
+  Alcotest.(check (option int)) "committed txn pins nothing" None
+    (Txn_mgr.oldest_first_lsn mgr)
+
+(* A [Replace_slot] whose cells share at least 16 bytes of prefix plus
+   suffix logs the new cell as a delta of the old: the frame shrinks by at
+   least the shared bytes minus 8 and decodes to the same op, alone, with
+   the shared logical undo (lundo flag 2) and inside a CLR. Below 16 shared
+   bytes the op is encoded exactly as before, both cells in full. *)
+let test_replace_delta () =
+  (* The full form's frame: framing 8, header 24, body tag 1, page 4,
+     lundo flag 1, op tag 1, slot 4 and the two length-prefixed cells. *)
+  let full_len ~old_cell ~new_cell =
+    8 + 24 + 1 + 4 + 1 + 1 + 4 + (4 + String.length old_cell) + (4 + String.length new_cell)
+  in
+  let body_of op = update op in
+  let check what ~old_cell ~new_cell ~shared =
+    let op = Page_op.Replace_slot { slot = 3; old_cell; new_cell } in
+    roundtrip_record { Log_record.lsn = 1; prev = 0; txn = 1; body = body_of op };
+    let saved = full_len ~old_cell ~new_cell - frame_len (body_of op) in
+    if saved < shared - 8 then
+      Alcotest.failf "%s: delta saves %d bytes, expected >= %d" what saved (shared - 8);
+    (* The same op carrying its before-image as logical undo, and in a CLR. *)
+    let lundo = { Log_record.tree = 4; comp = Logical.Put { cell = old_cell } } in
+    roundtrip_record
+      { Log_record.lsn = 2; prev = 1; txn = 1; body = update ~lundo op };
+    roundtrip_record
+      {
+        Log_record.lsn = 3;
+        prev = 2;
+        txn = 1;
+        body = Log_record.Clr { page = 3; op; undo_next = 1 };
+      };
+    roundtrip_record
+      {
+        Log_record.lsn = 4;
+        prev = 3;
+        txn = 1;
+        body = Log_record.Clr { page = 3; op = Page_op.invert op; undo_next = 1 };
+      }
+  in
+  let key = "user:key:000042|" and pad n = String.make n '.' in
+  check "same length" ~old_cell:(key ^ "aaaa" ^ pad 100)
+    ~new_cell:(key ^ "bbbb" ^ pad 100) ~shared:116;
+  check "growing" ~old_cell:(key ^ "v1" ^ pad 40) ~new_cell:(key ^ "v2-longer" ^ pad 40)
+    ~shared:56;
+  check "shrinking" ~old_cell:(key ^ "v2-longer" ^ pad 40) ~new_cell:(key ^ "v1" ^ pad 40)
+    ~shared:56;
+  check "old cell a prefix of the new" ~old_cell:(key ^ "abc") ~new_cell:(key ^ "abc" ^ pad 30)
+    ~shared:19;
+  check "new cell a suffix of the old" ~old_cell:("prefix" ^ key ^ "abc")
+    ~new_cell:(key ^ "abc") ~shared:19;
+  check "identical" ~old_cell:(key ^ "same") ~new_cell:(key ^ "same") ~shared:20;
+  (* Overlapping ends are not counted twice: "aaaa…" vs "aaaa…a" shares at
+     most the shorter cell. *)
+  check "runs of one byte" ~old_cell:(String.make 20 'a') ~new_cell:(String.make 25 'a')
+    ~shared:20;
+  (* Below 16 shared bytes: tag 5, both cells in full, as before the delta
+     form existed. *)
+  let op =
+    Page_op.Replace_slot { slot = 7; old_cell = "0123456789abcdeX"; new_cell = "0123456789abcdeY" }
+  in
+  let b = Buffer.create 64 in
+  Page_op.encode b op;
+  let expect = Buffer.create 64 in
+  Pitree_util.Codec.put_u8 expect 5;
+  Pitree_util.Codec.put_u32 expect 7;
+  Pitree_util.Codec.put_bytes expect "0123456789abcdeX";
+  Pitree_util.Codec.put_bytes expect "0123456789abcdeY";
+  Alcotest.(check string) "15 shared bytes: the full form" (Buffer.contents expect)
+    (Buffer.contents b);
+  Alcotest.(check int) "15 shared bytes: full frame"
+    (full_len ~old_cell:"0123456789abcdeX" ~new_cell:"0123456789abcdeY")
+    (frame_len (body_of op));
+  (* A delta that claims more shared bytes than its old cell holds is
+     corrupt, not a short cell. *)
+  let bad = Buffer.create 32 in
+  Pitree_util.Codec.put_u8 bad 13;
+  Pitree_util.Codec.put_u32 bad 0;
+  Pitree_util.Codec.put_bytes bad "short";
+  Pitree_util.Codec.put_u16 bad 4;
+  Pitree_util.Codec.put_u16 bad 4;
+  Pitree_util.Codec.put_u32 bad 0;
+  Alcotest.(check bool) "overlong delta rejected" true
+    (match Page_op.decode (Pitree_util.Codec.reader (Buffer.contents bad)) with
+    | exception Pitree_util.Codec.Corrupt _ -> true
+    | _ -> false)
+
 (* Property: encode/decode of random log records — every op, every lundo
    form (shared with the op or spelled out), and page images with and
    without a zero hole. *)
 let prop_log_record_roundtrip =
   let open QCheck in
   let cell = Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; '\000' ]) (0 -- 12)) in
+  let long_cell = Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; '\000' ]) (0 -- 24)) in
   let run = Gen.(small_list (pair small_nat cell)) in
   let op_gen =
     Gen.(
@@ -524,6 +766,13 @@ let prop_log_record_roundtrip =
           map3
             (fun slot old_cell new_cell -> Page_op.Replace_slot { slot; old_cell; new_cell })
             small_nat cell cell;
+          (* Cells sharing a prefix and a suffix, often past the 16 bytes
+             that switch the encoding to a delta. *)
+          map3
+            (fun slot (pre, suf) (mid_old, mid_new) ->
+              Page_op.Replace_slot
+                { slot; old_cell = pre ^ mid_old ^ suf; new_cell = pre ^ mid_new ^ suf })
+            small_nat (pair long_cell long_cell) (pair cell cell);
           map2
             (fun o n -> Page_op.Set_side_ptr { old_ptr = o; new_ptr = n })
             small_nat small_nat;
@@ -602,6 +851,7 @@ let suites =
         Alcotest.test_case "lundo shares the before-image" `Quick
           test_lundo_shares_the_before_image;
         Alcotest.test_case "page image hole" `Quick test_page_image_hole;
+        Alcotest.test_case "replace logs a delta" `Quick test_replace_delta;
       ] );
     ( "wal.log_manager",
       [
@@ -616,5 +866,9 @@ let suites =
       [
         Alcotest.test_case "redo + undo" `Quick test_recovery_redo_undo;
         Alcotest.test_case "idempotent restart" `Quick test_recovery_idempotent;
+        Alcotest.test_case "loser without Begin" `Quick test_recovery_loser_without_begin;
+        Alcotest.test_case "old-format log" `Quick test_recovery_old_format;
+        Alcotest.test_case "checkpoint skips empty txn" `Quick
+          test_checkpoint_skips_empty_txn;
       ] );
   ]
