@@ -799,10 +799,18 @@ let wal_impl ~txns_per_domain ~domain_counts ~out () =
   close_out oc;
   Printf.printf "wrote %s\n%!" out
 
+(* Smoke runs write beside the build, never over the checked-in record of
+   their full run. *)
+let smoke_out file =
+  let dir = Filename.concat "_build" "smoke" in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  Filename.concat dir file
+
 let wal () = wal_impl ~txns_per_domain:1000 ~domain_counts:[ 1; 2; 4; 8 ] ~out:"BENCH_wal.json" ()
 
 let wal_smoke () =
-  wal_impl ~txns_per_domain:100 ~domain_counts:[ 4 ] ~out:"BENCH_wal.json" ()
+  wal_impl ~txns_per_domain:100 ~domain_counts:[ 4 ]
+    ~out:(smoke_out "BENCH_wal.json") ()
 
 (* ------------------------------------------------------------------ *)
 (* Buffer pool: direct pin/unpin workloads against the pool alone (no
@@ -1041,7 +1049,7 @@ let pool_bench () =
 let pool_smoke () =
   pool_impl ~workloads:[ Ppoint ] ~domain_counts:[ 4 ]
     ~ops_per_domain:(fun _ -> 500)
-    ~out:"BENCH_pool.json" ()
+    ~out:(smoke_out "BENCH_pool.json") ()
 
 (* ------------------------------------------------------------------ *)
 (* Fuzzy checkpoints: restart work bounded by work-since-checkpoint (not
@@ -1268,7 +1276,7 @@ let ckpt () =
 
 let ckpt_smoke () =
   ckpt_impl ~histories:[ 800 ] ~stall_rounds:2 ~stall_dirty:400
-    ~out:"BENCH_ckpt.json" ()
+    ~out:(smoke_out "BENCH_ckpt.json") ()
 
 (* ------------------------------------------------------------------ *)
 (* E21 / churn: alternating insert/delete cycles over all three engines —
@@ -1316,7 +1324,7 @@ let churn () = churn_impl Churn.default_config ~out:"BENCH_churn.json"
 let churn_smoke () =
   churn_impl
     { Churn.default_config with Churn.cycles = 20_000; keys = 2_048; band = 256 }
-    ~out:"BENCH_churn.json"
+    ~out:(smoke_out "BENCH_churn.json")
 
 (* ------------------------------------------------------------------ *)
 
@@ -1349,7 +1357,7 @@ let endure_smoke () =
       crash_cycles = 1;
       verify_sample = 500;
     }
-    ~out:"BENCH_endure.json"
+    ~out:(smoke_out "BENCH_endure.json")
 
 (* ------------------------------------------------------------------ *)
 (* E19 / olc: optimistic latch-free read descents vs the S-latched
@@ -1506,7 +1514,7 @@ let olc () =
 
 let olc_smoke () =
   olc_impl ~key_space:5_000 ~point_ops:10_000 ~scan_ops:400 ~mixed_ops:5_000
-    ~domain_counts:[ 2 ] ~out:"BENCH_olc.json" ()
+    ~domain_counts:[ 2 ] ~out:(smoke_out "BENCH_olc.json") ()
 
 (* ------------------------------------------------------------------ *)
 (* E20 / combine: hot-key write combining under a skewed write storm.
@@ -1681,8 +1689,8 @@ let combine_bench () =
 
 let combine_smoke () =
   combine_impl ~key_space:64 ~page_size:4096 ~domains:4 ~ops_per_domain:1_500
-    ~window_us:1_000 ~slots:4 ~gates:(1.2, 1.2, 1.2) ~out:"BENCH_combine.json"
-    ()
+    ~window_us:1_000 ~slots:4 ~gates:(1.2, 1.2, 1.2)
+    ~out:(smoke_out "BENCH_combine.json") ()
 
 (* ------------------------------------------------------------------ *)
 (* E22 / mvcc: snapshot-isolation read storm. Readers run point reads
@@ -1937,7 +1945,7 @@ let mvcc_bench () =
 
 let mvcc_smoke () =
   mvcc_impl ~keys:2_000 ~reader_domains:2 ~writer_domains:1 ~read_txns:100
-    ~reads_per_txn:8 ~writes_per_txn:4 ~out:"BENCH_mvcc.json" ()
+    ~reads_per_txn:8 ~writes_per_txn:4 ~out:(smoke_out "BENCH_mvcc.json") ()
 
 let experiments =
   [
@@ -1955,7 +1963,7 @@ let experiments =
     ("micro", micro);
   ]
 
-(* smoke variants would overwrite the full runs' JSON artifacts *)
+(* [all] runs the full variants only *)
 let smoke_variants =
   [ "wal-smoke"; "pool-smoke"; "ckpt-smoke"; "endure-smoke"; "olc-smoke";
     "combine-smoke"; "churn-smoke"; "mvcc-smoke" ]

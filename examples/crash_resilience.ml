@@ -21,8 +21,9 @@ let () =
   let t = Blink.create env ~name:"t" in
 
   (* Load inside one explicit transaction: the splits run as independent
-     atomic actions, but nothing drains the posting queue until the
-     transaction finishes — so when we "pull the plug" right after commit,
+     atomic actions, but nothing runs the posting queue until the
+     transaction finishes, and its commit runs only a few postings
+     (Env.drain_budget) — so when we "pull the plug" right after commit,
      durable splits exist whose index terms were never posted. *)
   let mgr = Env.txns env in
   let txn = Txn_mgr.begin_txn mgr Txn.User in

@@ -965,7 +965,6 @@ let apply_batch t (reqs : (string * string) array) =
          the whole batch back (no follower has been acked yet). *)
       Crash_point.hit Combine.crash_point_applied;
       Txn_mgr.commit ~commits:(max 1 !applied) (mgr t) txn;
-      ignore (Env.drain t.env);
       results
   | exception (Crash_point.Crash_requested _ as e) -> raise e
   | exception e ->
@@ -1118,13 +1117,9 @@ let find ?txn t key =
   match txn with
   | Some txn -> find_in_txn ~txn t key
   | None ->
-      let r =
-        Tr.read t
-          ~optimistic:(fun () -> find_olc t key)
-          ~latched:(fun () -> find_latched t key)
-      in
-      ignore (Env.drain t.env);
-      r
+      Tr.read t
+        ~optimistic:(fun () -> find_olc t key)
+        ~latched:(fun () -> find_latched t key)
 
 (* Records of [p] in [[start, high)), in key order. *)
 let collect_batch ~start ~beyond p =

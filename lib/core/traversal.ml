@@ -261,24 +261,29 @@ module Make (T : TREE) = struct
 
   let olc_descend t key = olc_step t ~key (pin_root t)
 
-  let read t ~optimistic ~latched =
+  let read ?(drain = true) t ~optimistic ~latched =
     let s = T.state t in
-    if (Env.config s.env).Env.olc_reads then
-      Olc.protect ~restarts:s.olc_restarts ~fallbacks:s.olc_fallbacks
-        ~attempt:optimistic ~fallback:latched ()
-    else latched ()
+    let v =
+      if (Env.config s.env).Env.olc_reads then
+        Olc.protect ~restarts:s.olc_restarts ~fallbacks:s.olc_fallbacks
+          ~attempt:optimistic ~fallback:latched ()
+      else latched ()
+    in
+    (* The reader holds no latch now. A read inside a transaction (which
+       may hold locks) passes [~drain:false]: its commit or abort runs the
+       queue instead. *)
+    if drain then ignore (Env.drain_some s.env);
+    v
 
   let with_autocommit t txn f =
     match txn with
     | Some txn -> f txn
     | None -> (
-        let env = (T.state t).env in
-        let mgr = Env.txns env in
+        let mgr = Env.txns (T.state t).env in
         let txn = Txn_mgr.begin_txn mgr Txn.User in
         match f txn with
         | v ->
             Txn_mgr.commit mgr txn;
-            ignore (Env.drain env);
             v
         | exception (Crash_point.Crash_requested _ as e) -> raise e
         | exception e ->

@@ -17,7 +17,8 @@
     - the posting scheduler: following a side pointer means the index
       term for the sibling may be missing one level up, so the engine's
       posting action is queued once per sibling through [Env.schedule];
-    - the autocommit wrapper.
+    - the autocommit wrapper;
+    - the one read exit that runs queued completions ({!Make.read}).
 
     {2 Optimistic descent}
 
@@ -176,13 +177,17 @@ module Make (T : TREE) : sig
       latched, with a validated snapshot of its version word. Every exit,
       including every raise, drops every other pin it took. *)
 
-  val read : T.t -> optimistic:(unit -> 'a) -> latched:(unit -> 'a) -> 'a
+  val read :
+    ?drain:bool -> T.t -> optimistic:(unit -> 'a) -> latched:(unit -> 'a) -> 'a
   (** Run [optimistic] under the counted restart loop with [latched] as
       the fallback when [Env.config.olc_reads] is on; [latched] alone
-      otherwise. *)
+      otherwise. Then, unless [~drain:false], run a few queued completions
+      ([Env.drain_some]). A read inside a transaction, or one that is a
+      step of a larger operation, passes [~drain:false]: the
+      transaction's commit or abort runs the queue instead. *)
 
   val with_autocommit : T.t -> Pitree_txn.Txn.t option -> (Pitree_txn.Txn.t -> 'a) -> 'a
   (** Run [f] in the given transaction, or in a fresh user transaction
-      committed afterwards (then drain queued completions) and aborted on
-      an exception. *)
+      committed afterwards (whose commit runs queued completions) and
+      aborted on an exception. *)
 end

@@ -102,10 +102,11 @@ type t = {
   mutable crashed : bool;
   tasks : (unit -> unit) Queue.t;
   tasks_mu : Mutex.t;
+  queued : int Atomic.t;  (* [Queue.length tasks], readable without the mutex *)
+  completions : int Atomic.t;
   mutable allocs : int;
   mutable deallocs : int;
   mutable reuses : int;
-  mutable completions : int;
   (* --- checkpointer --- *)
   ckpt_mu : Mutex.t;  (* serializes whole checkpoints *)
   mutable ckpts : int;
@@ -365,8 +366,55 @@ let log_image_if_due t f pid page =
     ignore (Atomic.fetch_and_add t.page_image_bytes bytes)
   end
 
+(* --- completion queue --- *)
+
+let schedule t task =
+  Mutex.lock t.tasks_mu;
+  Queue.add task t.tasks;
+  Atomic.incr t.queued;
+  Mutex.unlock t.tasks_mu
+
+(* Run queued tasks, at most [budget] of them, each outside the queue's
+   mutex. Any number of threads may drain at once. *)
+let run_tasks t ~budget =
+  let rec loop ran =
+    if ran >= budget || Atomic.get t.queued = 0 then ran
+    else begin
+      Mutex.lock t.tasks_mu;
+      let task = Queue.take_opt t.tasks in
+      if task <> None then Atomic.decr t.queued;
+      Mutex.unlock t.tasks_mu;
+      match task with
+      | None -> ran
+      | Some task ->
+          task ();
+          Atomic.incr t.completions;
+          loop (ran + 1)
+    end
+  in
+  loop 0
+
+let drain t = run_tasks t ~budget:max_int
+
+(* A constant, not a config field: enough to keep up with the postings
+   one commit's splits schedule, small enough that no committer pays for
+   a post-crash backlog. *)
+let drain_budget = 4
+
+let drain_some t = run_tasks t ~budget:drain_budget
+
+let pending t = Atomic.get t.queued
+
+(* Every user commit and abort runs a few queued completions (section
+   5.1: a traversal that finds a missing index term schedules its posting
+   as its own atomic action, and these are where it runs). The hooks run
+   after the transaction has released its locks, and no caller holds a
+   latch across a commit or an abort. *)
 let wire_triggers t =
-  Txn_mgr.set_on_user_commit t.txns_v (fun () -> maybe_checkpoint t);
+  Txn_mgr.set_on_user_commit t.txns_v (fun () ->
+      ignore (drain_some t);
+      maybe_checkpoint t);
+  Txn_mgr.set_on_user_abort t.txns_v (fun () -> ignore (drain_some t));
   (* The image table is volatile: a crash drops it, and every page's first
      transition after restart logs a fresh image. *)
   let f = fresh_fpw () in
@@ -411,10 +459,11 @@ let make_skeleton disk log_ref cfg =
       crashed = false;
       tasks = Queue.create ();
       tasks_mu = Mutex.create ();
+      queued = Atomic.make 0;
+      completions = Atomic.make 0;
       allocs = 0;
       deallocs = 0;
       reuses = 0;
-      completions = 0;
       ckpt_mu = Mutex.create ();
       ckpts = 0;
       ckpt_pages = 0;
@@ -617,6 +666,7 @@ let crash t =
   Txn_mgr.crash t.txns_v;
   Mutex.lock t.tasks_mu;
   Queue.clear t.tasks;
+  Atomic.set t.queued 0;
   Mutex.unlock t.tasks_mu;
   t.crashed <- true
 
@@ -653,42 +703,12 @@ let close t =
   checkpoint t;
   t.disk.Disk.close ()
 
-(* --- completion queue --- *)
-
-let schedule t task =
-  Mutex.lock t.tasks_mu;
-  Queue.add task t.tasks;
-  Mutex.unlock t.tasks_mu
-
-let drain t =
-  let ran = ref 0 in
-  let rec loop () =
-    Mutex.lock t.tasks_mu;
-    let task = if Queue.is_empty t.tasks then None else Some (Queue.pop t.tasks) in
-    Mutex.unlock t.tasks_mu;
-    match task with
-    | None -> ()
-    | Some task ->
-        task ();
-        incr ran;
-        t.completions <- t.completions + 1;
-        loop ()
-  in
-  loop ();
-  !ran
-
-let pending t =
-  Mutex.lock t.tasks_mu;
-  let n = Queue.length t.tasks in
-  Mutex.unlock t.tasks_mu;
-  n
-
 let stats t =
   {
     pages_allocated = t.allocs;
     pages_freed = t.deallocs;
     pages_reused = t.reuses;
-    completions_run = t.completions;
+    completions_run = Atomic.get t.completions;
     checkpoints = t.ckpts;
     ckpt_pages_written = t.ckpt_pages;
     ckpt_records_truncated = t.ckpt_records;

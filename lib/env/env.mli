@@ -186,17 +186,43 @@ val list_trees : t -> (string * int) list
 
     Pending structure-change completions (index-term postings, node
     consolidations) discovered during normal processing. Volatile by design:
-    a crash empties it, and the work is re-discovered by later traversals. *)
+    a crash empties it, and the work is re-discovered by later traversals.
+
+    The queue runs itself: every user-transaction commit and abort ends
+    with {!drain_some}, once the transaction has released its locks (and
+    a commit's record is forced), so a completion never runs under a
+    latch or a lock of the thread that runs it. A snapshot-isolation
+    write commit runs it after leaving [Mvcc]'s commit section, and a
+    read made outside any transaction runs it at its exit. The engines
+    drain nowhere else; {!drain} is for callers that want a settled
+    tree. *)
 
 val schedule : t -> (unit -> unit) -> unit
+(** Queue a completion task. The task must run as its own atomic
+    action(s), take no lock it would wait for, and tolerate finding its
+    work already done. *)
 
 val drain : t -> int
-(** Run pending completion tasks until the queue is empty; returns how many
-    ran. Tasks run outside any latch. A task raising
-    [Crash_point.Crash_requested] propagates (the rest stay queued, then are
-    lost to the crash, as intended). *)
+(** Run pending completion tasks until the queue is empty, including tasks
+    that the ones run schedule; returns how many ran. For callers that
+    want a settled tree (tests, the simulator, harness checkpoints, a
+    benchmark's preload). Tasks run outside any latch. A task raising
+    [Crash_point.Crash_requested] propagates (the rest stay queued, then
+    are lost to the crash, as intended). Safe to call from several
+    threads at once. *)
+
+val drain_budget : int
+(** How many tasks {!drain_some} runs at most. *)
+
+val drain_some : t -> int
+(** Run at most {!drain_budget} pending tasks; returns how many ran. An
+    empty queue costs one atomic read. Exceptions propagate as in
+    {!drain}; after a commit, an interrupted drain leaves that commit in
+    doubt to its caller (the commit is durable, its acknowledgment was
+    lost). *)
 
 val pending : t -> int
+(** Tasks queued and not yet started. *)
 
 (** {2 Statistics} *)
 

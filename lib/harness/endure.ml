@@ -217,7 +217,7 @@ let k_rmw = 4
    consolidation, merges, free-list recycling) the engine plugs in behind
    it. Re-wrapped per op because recovery swaps the tree handle. *)
 
-let worker cfg env sh (st : wstate) ~w =
+let worker cfg sh (st : wstate) ~w =
   let nd = cfg.domains in
   let rng = Rng.create (Int64.add cfg.seed (Int64.of_int (w * 7919))) in
   let zipf =
@@ -339,17 +339,10 @@ let worker cfg env sh (st : wstate) ~w =
        with e ->
          add_error sh
            (Printf.sprintf "worker %d: op raised %s" w (Printexc.to_string e)));
+      (* Scheduled structure-change completions (index-term postings,
+         consolidations) run at each op's commit; a fault surfacing inside
+         one is an op error like any other. *)
       st.ops <- st.ops + 1;
-      (* Keep scheduled structure-change completions (index-term postings,
-         consolidations) flowing; they run on whichever worker drains. A
-         fault surfacing inside a completion is an op error, not a reason
-         to kill the domain. *)
-      if st.ops land 255 = 0 then (
-        try ignore (Env.drain env)
-        with e ->
-          add_error sh
-            (Printf.sprintf "worker %d: drain raised %s" w
-               (Printexc.to_string e)));
       loop ()
     end
   in
@@ -637,7 +630,7 @@ let run ?(log = fun _ -> ()) cfg =
   let start = Unix.gettimeofday () in
   let workers =
     List.init cfg.domains (fun w ->
-        Domain.spawn (fun () -> worker cfg env sh states.(w) ~w))
+        Domain.spawn (fun () -> worker cfg sh states.(w) ~w))
   in
   let recovery_ms = ref [] in
   let cycles_done = ref 0 in

@@ -897,8 +897,7 @@ let apply_batch t (reqs : (float array * string) array) =
          results.(i) <- Applied)
        reqs;
      Crash_point.hit Combine.crash_point_applied;
-     Txn_mgr.commit ~commits:n (mgr t) txn;
-     ignore (Env.drain t.env)
+     Txn_mgr.commit ~commits:n (mgr t) txn
    with
    | Crash_point.Crash_requested _ as e -> raise e
    | e ->
@@ -986,16 +985,12 @@ let find_olc t point =
       unpin t fr;
       raise e
 
-let find t point =
+let find ?txn t point =
   check_point t point;
   Atomic.incr t.c_searches;
-  let r =
-    Tr.read t
-      ~optimistic:(fun () -> find_olc t point)
-      ~latched:(fun () -> find_latched t point)
-  in
-  ignore (Env.drain t.env);
-  r
+  Tr.read ~drain:(txn = None) t
+    ~optimistic:(fun () -> find_olc t point)
+    ~latched:(fun () -> find_latched t point)
 
 let query t ~low ~high ~init ~f =
   let box = { low; high } in

@@ -43,7 +43,10 @@ val delete : ?txn:Pitree_txn.Txn.t -> t -> float array -> bool
 (** Delete the record at [point]; [false] if absent. With [?txn] the
     delete joins the caller's transaction (the caller commits). *)
 
-val find : t -> float array -> string option
+val find : ?txn:Pitree_txn.Txn.t -> t -> float array -> string option
+(** Reads take no locks; [txn] only says the read runs inside that
+    transaction, which then runs queued completions at its commit or
+    abort instead of this read at its exit. *)
 
 val query :
   t -> low:float array -> high:float array -> init:'a ->

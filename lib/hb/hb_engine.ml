@@ -19,7 +19,7 @@ module Impl = struct
   let point t key = point_of_key ~dims:(Hb.dims t) key
   let insert ?txn t ~key ~value = Hb.insert ?txn t ~point:(point t key) ~value
   let delete ?txn t key = Hb.delete ?txn t (point t key)
-  let find ?txn:_ t key = Hb.find t (point t key)
+  let find ?txn t key = Hb.find ?txn t (point t key)
 
   (* Hashing destroys key order, so an ordered scan cannot be served;
      report 0 like the baselines (Engine.S documents this). *)

@@ -708,8 +708,7 @@ let apply_batch t (reqs : (string * string) array) =
          incr applied)
        reqs;
      Crash_point.hit Combine.crash_point_applied;
-     Txn_mgr.commit ~commits:(max 1 !applied) (mgr t) txn;
-     ignore (Env.drain t.env)
+     Txn_mgr.commit ~commits:(max 1 !applied) (mgr t) txn
    with
    | Crash_point.Crash_requested _ as e -> raise e
    | _ ->
@@ -845,17 +844,19 @@ let lookup_asof_olc t ~key ~time =
       unpin t fr;
       r
 
-let lookup_asof t ~key ~time =
-  Tr.read t
+let lookup_asof ~drain t ~key ~time =
+  Tr.read ~drain t
     ~optimistic:(fun () -> lookup_asof_olc t ~key ~time)
     ~latched:(fun () -> lookup_asof_latched t ~key ~time)
 
-let get_asof t key ~time =
-  match lookup_asof t ~key ~time with
+let value_asof ~drain t key ~time =
+  match lookup_asof ~drain t ~key ~time with
   | Some (_, Tnode.Value v) -> Some v
   | Some (_, Tnode.Tombstone) | None -> None
 
-let get t key = get_asof t key ~time:max_int
+let get_asof ?txn t key ~time = value_asof ~drain:(txn = None) t key ~time
+
+let get ?txn t key = get_asof ?txn t key ~time:max_int
 
 (* Version-store vtable for snapshot-isolation commits (Mvcc): the FCW
    check reads the newest stamp of a key (tombstones count — a delete is
@@ -867,7 +868,8 @@ let () =
       Mvcc.register_tree t.root
         {
           Mvcc.newest =
-            (fun key -> Option.map fst (lookup_asof t ~key ~time:max_int));
+            (fun key ->
+              Option.map fst (lookup_asof ~drain:false t ~key ~time:max_int));
           apply =
             (fun txn ~time ~key ~value ->
               Atomic.incr t.c_puts;
@@ -976,7 +978,9 @@ let range_asof t ~time ?low ?high ~init ~f =
   let keys = List.rev (leaves fr []) in
   List.fold_left
     (fun acc k ->
-      match get_asof t k ~time with Some v -> f acc k v | None -> acc)
+      match value_asof ~drain:false t k ~time with
+      | Some v -> f acc k v
+      | None -> acc)
     init keys
 
 (* ---------- GC: horizon, history drain, tombstone purge, merge ----------

@@ -55,11 +55,15 @@ val now : t -> int
 
 (** {2 Reads} *)
 
-val get : t -> string -> string option
-(** Current value ([None] if never written or tombstoned). *)
+val get : ?txn:Pitree_txn.Txn.t -> t -> string -> string option
+(** Current value ([None] if never written or tombstoned). Reads take no
+    locks; [txn] only says the read runs inside that transaction, which
+    then runs queued completions at its commit or abort instead of this
+    read at its exit. *)
 
-val get_asof : t -> string -> time:int -> string option
-(** The value visible at [time] (inclusive). *)
+val get_asof :
+  ?txn:Pitree_txn.Txn.t -> t -> string -> time:int -> string option
+(** The value visible at [time] (inclusive); [txn] as in {!get}. *)
 
 val history : t -> string -> (int * string option) list
 (** All versions of a key, oldest first; [None] marks a tombstone.

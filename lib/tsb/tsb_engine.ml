@@ -42,8 +42,8 @@ module Impl = struct
         Mvcc.note_read si;
         match Mvcc.buffered si ~tree:(Tsb.tree_id t) ~key with
         | Some v -> v
-        | None -> Tsb.get_asof t key ~time:(Mvcc.read_time si))
-    | None -> Tsb.get t key
+        | None -> Tsb.get_asof ?txn t key ~time:(Mvcc.read_time si))
+    | None -> Tsb.get ?txn t key
 
   (* A tombstone for an absent key would create a version of nothing;
      mirror the other engines' contract instead: write the tombstone only
@@ -58,12 +58,12 @@ module Impl = struct
         let live =
           match Mvcc.buffered si ~tree ~key with
           | Some v -> v <> None
-          | None -> Tsb.get_asof t key ~time:(Mvcc.read_time si) <> None
+          | None -> Tsb.get_asof ?txn t key ~time:(Mvcc.read_time si) <> None
         in
         if live then Mvcc.buffer_write si ~tree ~key None;
         live
     | None -> (
-        match Tsb.get t key with
+        match Tsb.get ?txn t key with
         | None -> false
         | Some _ ->
             ignore (Tsb.remove ?txn t key : int);

@@ -20,7 +20,9 @@
      Commit record (Txn_mgr.commit) -> retire ts.
    The whole sequence runs under a per-allocator commit section, so
    first-committer-wins is decided against a stable set of committed
-   versions. Readers are unaffected — they never take the section.
+   versions. Readers are unaffected — they never take the section. The
+   user-commit hook (queued completions, the checkpoint trigger) runs
+   after the section is left.
 
    This layer deliberately knows nothing about any particular engine: trees
    register an [ops] vtable (from Tsb.attach) keyed by root page id. *)
@@ -264,12 +266,15 @@ let commit mgr txn =
                 writes;
               ignore (Txn_mgr.append mgr txn (Log_record.Commit_ts { ts }));
               Crash_point.hit "mvcc.commit.logged";
-              Txn_mgr.commit mgr txn;
+              (* The user-commit hook runs queued completions, which take
+                 latches: run it after leaving the section. *)
+              Txn_mgr.commit ~hook:false mgr txn;
               ts)
         with
         | ts ->
             release si;
             Atomic.incr c_committed;
+            Txn_mgr.after_user_commit mgr;
             Some ts
         | exception (Crash_point.Crash_requested _ as e) ->
             (* Simulated power failure mid-commit: leave the transaction

@@ -34,6 +34,7 @@ type t = {
   live : (int, Txn.t) Hashtbl.t;
   mutable undoing : int;  (* live aborts currently writing CLRs *)
   mutable on_user_commit : (unit -> unit) option;
+  mutable on_user_abort : (unit -> unit) option;
   snap : Snapshot.t;  (* commit-timestamp allocator (si_txns) *)
 }
 
@@ -48,6 +49,7 @@ let create ?(first_id = 1) ?(ts_floor = 0) ~log ~pool ~locks () =
     live = Hashtbl.create 64;
     undoing = 0;
     on_user_commit = None;
+    on_user_abort = None;
     snap = Snapshot.create ~floor:ts_floor ();
   }
 
@@ -58,6 +60,10 @@ let snapshots t = t.snap
 let wal_stats t = Log_manager.stats t.log
 
 let set_on_user_commit t f = t.on_user_commit <- Some f
+let set_on_user_abort t f = t.on_user_abort <- Some f
+
+let after_user_commit t =
+  match t.on_user_commit with Some f -> f () | None -> ()
 
 let begin_txn t kind =
   Mutex.lock t.mu;
@@ -114,7 +120,7 @@ let update ?lundo t txn fr op =
   Page.set_lsn fr.Buffer_pool.page lsn;
   lsn
 
-let commit ?(commits = 1) t txn =
+let commit ?(commits = 1) ?(hook = true) t txn =
   assert (Txn.is_active txn);
   Mutex.lock t.mu;
   let commit_lsn = append_locked t txn Log_record.Commit in
@@ -144,9 +150,7 @@ let commit ?(commits = 1) t txn =
      posting of an index term for an in-transaction leaf split). *)
   List.iter (fun f -> f ()) (List.rev txn.Txn.on_commit);
   txn.Txn.on_commit <- [];
-  match (txn.Txn.kind, t.on_user_commit) with
-  | Txn.User, Some f -> f ()
-  | _ -> ()
+  if hook && txn.Txn.kind = Txn.User then after_user_commit t
 
 let abort t txn =
   assert (Txn.is_active txn);
@@ -177,7 +181,10 @@ let abort t txn =
      must never cover a timestamp whose (now aborted) version is still in
      the tree. *)
   Snapshot.retire_all t.snap txn.Txn.tracked_ts;
-  txn.Txn.tracked_ts <- []
+  txn.Txn.tracked_ts <- [];
+  match (txn.Txn.kind, t.on_user_abort) with
+  | Txn.User, Some f -> f ()
+  | _ -> ()
 
 let begin_checkpoint t =
   Mutex.lock t.mu;

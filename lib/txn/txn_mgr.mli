@@ -49,17 +49,24 @@ val update :
     now also the page's LSN. [lundo] attaches a logical-undo descriptor
     (non-page-oriented UNDO; see {!Pitree_wal.Logical}). *)
 
-val commit : ?commits:int -> t -> Txn.t -> unit
+val commit : ?commits:int -> ?hook:bool -> t -> Txn.t -> unit
 (** Appends one Commit (no End follows). Forces the log for [User]
     transactions only, even one that wrote nothing — a [System] commit is
     relatively durable. Releases the transaction's
     locks. [commits] (default 1) is how many logical user commits this
     transaction carries — a combined write batch commits once for N puts —
-    and is only forwarded to [Log_manager.flush]'s accounting. *)
+    and is only forwarded to [Log_manager.flush]'s accounting. A [User]
+    commit ends by running the user-commit hook ({!set_on_user_commit});
+    [~hook:false] skips it, for a caller that commits inside a critical
+    section of its own and calls {!after_user_commit} once it has left. *)
+
+val after_user_commit : t -> unit
+(** Run the user-commit hook, if one is set. *)
 
 val abort : t -> Txn.t -> unit
 (** Appends Abort, undoes all the transaction's updates (writing CLRs),
-    appends End, releases locks. *)
+    appends End, releases locks, then runs the user-abort hook
+    ({!set_on_user_abort}) for a [User] transaction. *)
 
 val begin_checkpoint : t -> Pitree_wal.Lsn.t * (int * Pitree_wal.Lsn.t) list
 (** Open a fuzzy checkpoint: append the [Begin_checkpoint] fence record
@@ -71,10 +78,15 @@ val begin_checkpoint : t -> Pitree_wal.Lsn.t * (int * Pitree_wal.Lsn.t) list
     for the matching [End_checkpoint]. *)
 
 val set_on_user_commit : t -> (unit -> unit) -> unit
-(** [f] runs after each user-transaction commit completes (locks
-    released, deferred work run), in the committing thread — the
-    checkpointer's log-growth trigger. Exceptions propagate to the
-    committer. *)
+(** [f] runs after each user-transaction commit completes (commit record
+    forced, locks released, deferred work run), in the committing thread:
+    [Env] runs queued completions and the checkpointer's log-growth
+    trigger here. Exceptions propagate to the committer, whose
+    transaction is already committed. *)
+
+val set_on_user_abort : t -> (unit -> unit) -> unit
+(** [f] runs after each user-transaction abort completes (updates undone,
+    locks released), in the aborting thread. Exceptions propagate. *)
 
 val active : t -> (int * Pitree_wal.Lsn.t) list
 (** Live transactions and their last LSNs (informational; checkpoints use

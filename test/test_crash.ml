@@ -87,11 +87,13 @@ let test_crash_point point () =
 let test_crash_between_actions_completion () =
   (* Create the durable intermediate state deliberately: inserts inside an
      explicit transaction perform their splits as independent atomic
-     actions but nothing drains the posting queue; the transaction's commit
-     forces the log (making the splits durable, by relative durability);
-     then we crash before any posting ran. The intermediate state persists
-     across recovery; a later search must detect it (side traversal) and
-     schedule the completing atomic action (section 5.1). *)
+     actions, and nothing inside the transaction runs the posting queue.
+     The transaction's commit forces the log (making the splits durable,
+     by relative durability) and then runs the queue; the armed crash
+     point fires in its first posting, before that posting changes a
+     page. The intermediate state persists across recovery; a later
+     search must detect it (side traversal) and schedule the completing
+     atomic action (section 5.1). *)
   Crash_point.disarm_all ();
   let env = Env.create (cfg ()) in
   let t = Blink.create env ~name:"t" in
@@ -100,7 +102,11 @@ let test_crash_between_actions_completion () =
   for i = 0 to 799 do
     Blink.insert ~txn t ~key:(key i) ~value:(value i)
   done;
-  Pitree_txn.Txn_mgr.commit mgr txn;
+  Crash_point.arm "blink.post.latched" ~after:0;
+  (match Pitree_txn.Txn_mgr.commit mgr txn with
+  | () -> Alcotest.fail "the commit ran no posting"
+  | exception Crash_point.Crash_requested _ -> ());
+  Crash_point.disarm_all ();
   Alcotest.(check bool) "postings still pending" true
     (Blink.pending_postings t > 0);
   let t = crash_and_recover env "t" in
@@ -119,7 +125,11 @@ let test_crash_between_actions_completion () =
        s.Blink.side_traversals s.Blink.postings_completed)
     true
     (s.Blink.side_traversals > 0);
-  check_wf t
+  check_wf t;
+  (* The commit was durable before its drain began. *)
+  for i = 0 to 799 do
+    Alcotest.(check (option string)) (key i) (Some (value i)) (Blink.find t (key i))
+  done
 
 let test_crash_mid_action_rolls_back () =
   (* Crash INSIDE the split action (after the sibling is linked, before

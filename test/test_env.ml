@@ -114,6 +114,42 @@ let test_crash_drops_tasks () =
   ignore (Env.recover env);
   Alcotest.(check int) "tasks lost by crash (by design)" 0 (Env.pending env)
 
+(* Two domains drain one queue: every task runs once and is counted once. *)
+let test_concurrent_drainers () =
+  let env = Env.create cfg in
+  let n = 20_000 in
+  let hits = Atomic.make 0 in
+  for _ = 1 to n do
+    Env.schedule env (fun () -> Atomic.incr hits)
+  done;
+  let drainers = List.init 2 (fun _ -> Domain.spawn (fun () -> Env.drain env)) in
+  let ran = List.fold_left (fun acc d -> acc + Domain.join d) 0 drainers in
+  Alcotest.(check int) "each task ran once" n (Atomic.get hits);
+  Alcotest.(check int) "drains report every task" n ran;
+  Alcotest.(check int) "completions counted" n (Env.stats env).Env.completions_run;
+  Alcotest.(check int) "queue empty" 0 (Env.pending env)
+
+(* User commits and aborts each run [Env.drain_budget] queued tasks;
+   atomic actions (system transactions) run none. *)
+let test_commit_abort_run_budget () =
+  let env = Env.create cfg in
+  let mgr = Env.txns env in
+  let budget = Env.drain_budget in
+  let queued = (3 * budget) + 1 in
+  for _ = 1 to queued do
+    Env.schedule env (fun () -> ())
+  done;
+  Atomic_action.run mgr (fun _ -> ());
+  Alcotest.(check int) "an atomic action runs none" queued (Env.pending env);
+  Txn_mgr.commit mgr (Txn_mgr.begin_txn mgr Txn.User);
+  Alcotest.(check int) "a commit runs the budget" (queued - budget) (Env.pending env);
+  Txn_mgr.abort mgr (Txn_mgr.begin_txn mgr Txn.User);
+  Alcotest.(check int) "an abort runs the budget" (queued - (2 * budget))
+    (Env.pending env);
+  Txn_mgr.commit mgr (Txn_mgr.begin_txn mgr Txn.User);
+  Txn_mgr.commit mgr (Txn_mgr.begin_txn mgr Txn.User);
+  Alcotest.(check int) "the rest runs at later commits" 0 (Env.pending env)
+
 let test_checkpoint_truncates_redo () =
   let env = Env.create cfg in
   ignore (Env.create_tree env ~name:"t" ~kind:Page.Data ~level:0);
@@ -156,6 +192,9 @@ let suites =
       [
         Alcotest.test_case "queue" `Quick test_completion_queue;
         Alcotest.test_case "crash drops tasks" `Quick test_crash_drops_tasks;
+        Alcotest.test_case "concurrent drainers" `Quick test_concurrent_drainers;
+        Alcotest.test_case "commit and abort run a budget" `Quick
+          test_commit_abort_run_budget;
       ] );
     ( "env.lifecycle",
       [

@@ -63,23 +63,41 @@ let test_in_txn_split_commit_defers_posting () =
   ignore (Env.drain env);
   let txn = Txn_mgr.begin_txn mgr Txn.User in
   let base = 1_000 in
-  let i = ref 0 in
-  let target = (Blink.stats t).Blink.leaf_splits + 1 in
+  (* The first insert updates the rightmost leaf (splitting it as an
+     independent action if it is full, whose posting the drain below
+     runs); the next split of that leaf is then one this txn updated. *)
+  Blink.insert ~txn t ~key:(key base) ~value:(String.make 24 'w');
+  ignore (Env.drain env);
+  let s0 = Blink.stats t in
+  let i = ref 1 in
+  let target = s0.Blink.leaf_splits + 1 in
   while (Blink.stats t).Blink.leaf_splits < target do
     Blink.insert ~txn t ~key:(key (base + !i)) ~value:(String.make 24 'w');
     incr i
   done;
   (* The split of a node this txn updated ran in-transaction: its posting
-     must not be scheduled before commit (section 4.2.2). *)
-  let pending_before = Blink.pending_postings t in
+     must not be scheduled before commit (section 4.2.2), and nothing
+     inside the transaction runs the queue. The commit schedules the
+     posting and runs it. *)
+  let during = Blink.stats t in
+  Alcotest.(check int) "nothing posted before commit"
+    s0.Blink.postings_completed during.Blink.postings_completed;
+  Alcotest.(check int) "nothing scheduled before commit"
+    s0.Blink.postings_scheduled during.Blink.postings_scheduled;
   Txn_mgr.commit mgr txn;
-  let pending_after = Blink.pending_postings t in
+  let after = Blink.stats t in
   Alcotest.(check bool)
-    (Printf.sprintf "posting deferred to commit (%d -> %d)" pending_before
-       pending_after)
+    (Printf.sprintf "posting deferred to commit (scheduled %d -> %d)"
+       during.Blink.postings_scheduled after.Blink.postings_scheduled)
     true
-    (pending_after >= pending_before);
-  ignore (Env.drain env);
+    (after.Blink.postings_scheduled > during.Blink.postings_scheduled);
+  Alcotest.(check bool)
+    (Printf.sprintf "term posted by the commit (completed %d -> %d)"
+       during.Blink.postings_completed after.Blink.postings_completed)
+    true
+    (after.Blink.postings_completed > during.Blink.postings_completed);
+  Alcotest.(check int) "nothing left queued" 0 (Blink.pending_postings t);
+  Alcotest.(check int) "queue empty" 0 (Env.pending env);
   check_wf t
 
 let test_latch_order_clean () =
@@ -267,6 +285,106 @@ let prop_crash_fuzz =
         committed;
       true)
 
+(* Explicit transactions alone keep the index posted: two domains insert
+   fresh ascending keys, one per transaction, with no autocommit op and
+   no [Env.drain]. Each commit runs a few queued postings, so nothing is
+   left queued after the last commit, an insert takes about one side step
+   (past the split its neighbour just made, before that posting ran), and
+   a later search takes about none. The latch-order checker is on
+   throughout: a posting run under a leaf latch would latch the parent
+   after the leaf. *)
+let test_txn_commits_post () =
+  Latch_order.reset ();
+  Latch_order.enable true;
+  let env = Env.create (cfg ()) in
+  let t = Blink.create env ~name:"t" in
+  let mgr = Env.txns env in
+  let per_domain = 1_500 in
+  let value = String.make 24 'v' in
+  let writer d () =
+    for i = 0 to per_domain - 1 do
+      let txn = Txn_mgr.begin_txn mgr Txn.User in
+      Blink.insert ~txn t ~key:(key ((2 * i) + d)) ~value;
+      Txn_mgr.commit mgr txn
+    done
+  in
+  let domains = List.map (fun d -> Domain.spawn (writer d)) [ 0; 1 ] in
+  List.iter Domain.join domains;
+  let s = Blink.stats t in
+  let n = 2 * per_domain in
+  Alcotest.(check int) "nothing queued after the last commit" 0 (Env.pending env);
+  Alcotest.(check bool)
+    (Printf.sprintf "about one side step per insert (%d for %d)"
+       s.Blink.side_traversals n)
+    true
+    (s.Blink.side_traversals < 2 * n);
+  Blink.reset_stats t;
+  let txn = Txn_mgr.begin_txn mgr Txn.User in
+  for i = 0 to n - 1 do
+    Alcotest.(check (option string)) (key i) (Some value) (Blink.find ~txn t (key i))
+  done;
+  Txn_mgr.commit mgr txn;
+  let hops = (Blink.stats t).Blink.side_traversals in
+  Alcotest.(check bool)
+    (Printf.sprintf "at most one side step per search (%d for %d)" hops n)
+    true (hops <= n);
+  Latch_order.enable false;
+  let violations = Latch_order.violations () in
+  Latch_order.reset ();
+  Alcotest.(check int) "no latch-order violations" 0 violations;
+  check_wf t
+
+(* A crash backlog: a commit whose posting run crashed before its first
+   posting leaves K index terms missing after recovery. Reads inside one
+   transaction re-discover them all and run none; then commits alone post
+   them, [Env.drain_budget] per commit, within ceil(K / budget) + 2
+   commits, after which searches take no side step. *)
+let test_crash_backlog_clears () =
+  Crash_point.disarm_all ();
+  (* Pages big enough that the postings' own index splits add only a few
+     tasks to the backlog. *)
+  let env = Env.create (cfg ~page_size:1024 ()) in
+  let t = Blink.create env ~name:"t" in
+  let n = 3_000 in
+  let value i = Printf.sprintf "val%06d" i in
+  let txn = Txn_mgr.begin_txn (Env.txns env) Txn.User in
+  for i = 0 to n - 1 do
+    Blink.insert ~txn t ~key:(key i) ~value:(value i)
+  done;
+  Crash_point.arm "blink.post.latched" ~after:0;
+  (match Txn_mgr.commit (Env.txns env) txn with
+  | () -> Alcotest.fail "the commit ran no posting"
+  | exception Crash_point.Crash_requested _ -> ());
+  Crash_point.disarm_all ();
+  Env.crash env;
+  ignore (Env.recover env);
+  let t = Option.get (Blink.open_existing env ~name:"t") in
+  let mgr = Env.txns env in
+  let txn = Txn_mgr.begin_txn mgr Txn.User in
+  for i = 0 to n - 1 do
+    Alcotest.(check (option string)) (key i) (Some (value i)) (Blink.find ~txn t (key i))
+  done;
+  let k = Env.pending env in
+  Alcotest.(check bool) (Printf.sprintf "backlog re-discovered (%d)" k) true (k > 0);
+  Alcotest.(check int) "reads ran none of it" 0 (Env.stats env).Env.completions_run;
+  Txn_mgr.commit mgr txn;
+  let bound = ((k + Env.drain_budget - 1) / Env.drain_budget) + 2 in
+  let commits = ref 1 in
+  while Env.pending env > 0 && !commits <= bound do
+    Txn_mgr.commit mgr (Txn_mgr.begin_txn mgr Txn.User);
+    incr commits
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "backlog of %d cleared in %d commits (bound %d)" k !commits bound)
+    true
+    (Env.pending env = 0 && !commits <= bound);
+  Blink.reset_stats t;
+  for i = 0 to n - 1 do
+    ignore (Blink.find t (key i))
+  done;
+  Alcotest.(check int) "no side step once posted" 0 (Blink.stats t).Blink.side_traversals;
+  check_wf t
+
 let suites =
   [
     ( "protocol.txn-splits",
@@ -289,4 +407,11 @@ let suites =
         Alcotest.test_case "checkpoint then crash" `Quick test_checkpoint_then_crash;
       ] );
     ( "protocol.fuzz", [ QCheck_alcotest.to_alcotest prop_crash_fuzz ] );
+    ( "protocol.completions",
+      [
+        Alcotest.test_case "explicit commits post, two domains" `Quick
+          test_txn_commits_post;
+        Alcotest.test_case "crash backlog clears within budget" `Quick
+          test_crash_backlog_clears;
+      ] );
   ]
