@@ -506,7 +506,10 @@ let read t lsn =
 
 (* Records come from the store a block at a time (or from the tail, copied
    out under [mu]) and are decoded in place; [f] runs with no lock held, so
-   it may read, append or iterate itself. *)
+   it may read, append or iterate itself. Their CRCs are not checked again:
+   every frame of an opened file passed [load]'s check, and every other
+   frame (the tail, an in-memory store, appends since the open) was
+   encoded by this process. *)
 let iter_from t lsn f =
   let block = ref Bytes.empty in
   let rec go i =
@@ -535,7 +538,7 @@ let iter_from t lsn f =
          the block can be refilled. *)
       let rec each pos i =
         if pos + 4 <= len && pos + Log_record.frame_length s ~pos <= len then begin
-          f (Log_record.decode ~pos s);
+          f (Log_record.decode ~pos ~check:false s);
           each (pos + Log_record.frame_length s ~pos) (i + 1)
         end
         else i

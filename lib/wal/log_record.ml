@@ -161,14 +161,17 @@ let frame_length s ~pos =
     raise (Codec.Corrupt "log record header truncated");
   8 + (Int32.to_int (String.get_int32_le s pos) land 0xffffffff)
 
-(* Check the frame at [pos] in place; returns its payload length. *)
-let checked_payload s ~pos =
+(* Check the frame at [pos] in place — that it fits in [s] and, when
+   [check], its CRC; returns its payload length. *)
+let checked_payload ?(check = true) s ~pos =
   let len = frame_length s ~pos - 8 in
   if len > String.length s - pos - 8 then
     raise (Codec.Corrupt "log record truncated");
-  let stored = Int32.to_int (String.get_int32_le s (pos + 4 + len)) land 0xffffffff in
-  if stored <> Codec.crc32_sub s ~pos:(pos + 4) ~len then
-    raise (Codec.Corrupt "log record CRC mismatch");
+  if check then begin
+    let stored = Int32.to_int (String.get_int32_le s (pos + 4 + len)) land 0xffffffff in
+    if stored <> Codec.crc32_sub s ~pos:(pos + 4) ~len then
+      raise (Codec.Corrupt "log record CRC mismatch")
+  end;
   len
 
 let verify s ~pos =
@@ -179,8 +182,8 @@ let verify s ~pos =
   let txn = Codec.get_int r in
   (lsn, txn)
 
-let decode ?(pos = 0) s =
-  let len = checked_payload s ~pos in
+let decode ?(pos = 0) ?check s =
+  let len = checked_payload ?check s ~pos in
   let r = Codec.reader ~pos:(pos + 4) ~len s in
   let lsn = Codec.get_int r in
   let prev = Codec.get_int r in

@@ -90,11 +90,12 @@ val frame_payload : Buffer.t -> bytes -> pos:int -> unit
     u32 length, the payload and its u32 CRC-32, [Buffer.length b + 8] bytes
     in all. *)
 
-val decode : ?pos:int -> string -> t
+val decode : ?pos:int -> ?check:bool -> string -> t
 (** Decode the frame starting at [pos] (default 0), checking its CRC in
     place — no copy of the frame or payload is made, so a caller can decode
-    straight out of a block of frames. Raises [Pitree_util.Codec.Corrupt]
-    on framing/CRC errors. *)
+    straight out of a block of frames. [~check:false] skips the CRC, for a
+    frame already checked (the frame must still fit in the string).
+    Raises [Pitree_util.Codec.Corrupt] on framing/CRC errors. *)
 
 val frame_length : string -> pos:int -> int
 (** Total byte length of the frame whose header starts at [pos], read from

@@ -229,9 +229,15 @@ let decode r =
       let suf = Codec.get_u16 r in
       let n = String.length old_cell in
       if pre + suf > n then raise (Codec.Corrupt "replace delta past its old cell");
-      let mid = Codec.get_bytes r in
-      let new_cell = String.sub old_cell 0 pre ^ mid ^ String.sub old_cell (n - suf) suf in
-      Replace_slot { slot; old_cell; new_cell }
+      let mid = Codec.get_u32 r in
+      if mid > Codec.remaining r then raise (Codec.Corrupt "replace delta past its frame");
+      (* One allocation: the shared ends come from the old cell, the middle
+         straight from the frame. *)
+      let cell = Bytes.create (pre + mid + suf) in
+      Bytes.blit_string old_cell 0 cell 0 pre;
+      Codec.get_blit r cell ~pos:pre ~len:mid;
+      Bytes.blit_string old_cell (n - suf) cell (pre + mid) suf;
+      Replace_slot { slot; old_cell; new_cell = Bytes.unsafe_to_string cell }
   | n -> raise (Codec.Corrupt (Printf.sprintf "bad page_op tag %d" n))
 
 let pp ppf = function

@@ -154,19 +154,24 @@ let run ~log ~pool =
           let s = Log_manager.redo_start log in
           (s, s)
   in
-  Log_manager.iter_from log start (fun r ->
-      incr analyzed;
-      match r.Log_record.body with
-      | Log_record.Begin _ | Log_record.Update _ | Log_record.Clr _
-      | Log_record.Abort ->
-          Hashtbl.replace att r.Log_record.txn r.Log_record.lsn
-      | Log_record.Commit | Log_record.End -> Hashtbl.remove att r.Log_record.txn
-      | Log_record.Commit_ts { ts } ->
-          max_commit_ts := max !max_commit_ts ts
-      | Log_record.Page_image _ | Log_record.Begin_checkpoint
-      | Log_record.End_checkpoint _ ->
-          ());
-  (* --- Redo (repeating history) --- *)
+  let analyze r =
+    incr analyzed;
+    match r.Log_record.body with
+    | Log_record.Begin _ | Log_record.Update _ | Log_record.Clr _
+    | Log_record.Abort ->
+        Hashtbl.replace att r.Log_record.txn r.Log_record.lsn
+    | Log_record.Commit | Log_record.End -> Hashtbl.remove att r.Log_record.txn
+    | Log_record.Commit_ts { ts } -> max_commit_ts := max !max_commit_ts ts
+    | Log_record.Page_image _ | Log_record.Begin_checkpoint
+    | Log_record.End_checkpoint _ ->
+        ()
+  in
+  (* --- Redo (repeating history), in the same scan --- *)
+  (* Redo repeats every record from the redo point whatever its
+     transaction's fate, so it needs nothing analysis finds: one forward
+     scan serves both, and each record is read and decoded once. The redo
+     point lies at or below [start]; records from [start] on also feed
+     the ATT. *)
   (* Replaying history must not re-log it: suppress the full-page-write
      hook for the duration of redo (undo below re-enables it — a CLR that
      dirties a still-clean page needs its image protected like any other
@@ -195,6 +200,7 @@ let run ~log ~pool =
      above the redo point (Env's full-page-write rule guarantees it). *)
   let rebuilding : (int, unit) Hashtbl.t = Hashtbl.create 8 in
   Log_manager.iter_from log redo_from (fun r ->
+      if r.Log_record.lsn >= start then analyze r;
       let apply ~base page mutate =
         let fr = pin_or_new ~rebuilding pool page in
         if base then Hashtbl.remove rebuilding page;

@@ -1,7 +1,8 @@
 (** Crash recovery and transaction rollback.
 
-    ARIES-style three passes — analysis, redo, undo — specialized to the
-    paper's needs:
+    ARIES-style analysis, redo and undo — analysis and redo in one forward
+    scan of the log, undo in a backward one — specialized to the paper's
+    needs:
 
     - {b Atomic actions take no special measures} (paper innovation 4): an
       atomic action whose Commit record is durable is a winner; one that is

@@ -747,6 +747,19 @@ let test_replace_delta () =
   Alcotest.(check bool) "overlong delta rejected" true
     (match Page_op.decode (Pitree_util.Codec.reader (Buffer.contents bad)) with
     | exception Pitree_util.Codec.Corrupt _ -> true
+    | _ -> false);
+  (* So is a middle longer than the rest of the frame. *)
+  let bad = Buffer.create 32 in
+  Pitree_util.Codec.put_u8 bad 13;
+  Pitree_util.Codec.put_u32 bad 0;
+  Pitree_util.Codec.put_bytes bad "short";
+  Pitree_util.Codec.put_u16 bad 1;
+  Pitree_util.Codec.put_u16 bad 1;
+  Pitree_util.Codec.put_u32 bad 0x7fffffff;
+  Buffer.add_string bad "mid";
+  Alcotest.(check bool) "delta middle past the frame rejected" true
+    (match Page_op.decode (Pitree_util.Codec.reader (Buffer.contents bad)) with
+    | exception Pitree_util.Codec.Corrupt _ -> true
     | _ -> false)
 
 (* Property: encode/decode of random log records — every op, every lundo
