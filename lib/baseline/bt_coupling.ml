@@ -30,6 +30,9 @@ let unlatch fr m = Latch.release fr.Buffer_pool.latch m
 let update t txn fr op =
   if not (Page_op.is_noop op) then ignore (Txn_mgr.update (mgr t) txn fr op)
 
+(* One logged change over several pages: a split's fill and truncation. *)
+let move t txn parts = ignore (Txn_mgr.move (mgr t) txn parts)
+
 let create env ~name =
   let root = Env.create_tree env ~name:("btc:" ^ name) ~kind:Page.Data ~level:0 in
   let t =
@@ -112,9 +115,14 @@ let rec make_room t txn stack idx ~key ~need =
       Page_op.insert_run ~slot:0
         (Node.fence_cell Node.whole_fence :: List.filteri (fun i _ -> keep i) entries)
     in
-    update t txn lfr (half (fun i -> i < s));
-    update t txn rfr (half (fun i -> i >= s));
-    update t txn fr (Page_op.delete_where p (fun _ -> true));
+    (* The root's truncation comes first, so both halves are logged as
+       positions in its cells. *)
+    move t txn
+      [
+        (fr, Page_op.delete_where p (fun _ -> true));
+        (lfr, half (fun i -> i < s));
+        (rfr, half (fun i -> i >= s));
+      ];
     update t txn fr
       (Page_op.Reformat
          {
@@ -155,11 +163,14 @@ let rec make_room t txn stack idx ~key ~need =
         if String.compare key k0 > 0 then (1, key) else (0, k0)
     in
     let qfr = Env.alloc_page t.env txn ~kind:(Page.kind p) ~level:(Page.level p) in
-    update t txn qfr
-      (Page_op.insert_run ~slot:0
-         (Node.fence_cell Node.whole_fence
-         :: Page_op.cells_from p ~slot:(Node.slot_of_entry s)));
-    update t txn fr (Page_op.delete_where p (fun i -> i >= Node.slot_of_entry s));
+    move t txn
+      [
+        ( qfr,
+          Page_op.insert_run ~slot:0
+            (Node.fence_cell Node.whole_fence
+            :: Page_op.cells_from p ~slot:(Node.slot_of_entry s)) );
+        (fr, Page_op.delete_where p (fun i -> i >= Node.slot_of_entry s));
+      ];
     let term = Node.index_term_cell ~sep ~child:(Page.id (page qfr)) in
     make_room t txn stack (idx - 1) ~key:sep ~need:(String.length term);
     let parent = page stack.(idx - 1) in

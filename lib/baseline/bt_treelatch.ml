@@ -30,6 +30,9 @@ let unlatch fr m = Latch.release fr.Buffer_pool.latch m
 let update t txn fr op =
   if not (Page_op.is_noop op) then ignore (Txn_mgr.update (mgr t) txn fr op)
 
+(* One logged change over several pages: a split's fill and truncation. *)
+let move t txn parts = ignore (Txn_mgr.move (mgr t) txn parts)
+
 let create env ~name =
   let root = Env.create_tree env ~name:("btl:" ^ name) ~kind:Page.Data ~level:0 in
   let t =
@@ -159,11 +162,14 @@ and split_and_insert t txn fr ~key ~cell =
   let p = page fr in
   let s, sep = choose_split p ~key in
   let qfr = Env.alloc_page t.env txn ~kind:(Page.kind p) ~level:(Page.level p) in
-  update t txn qfr
-    (Page_op.insert_run ~slot:0
-       (Node.fence_cell Node.whole_fence
-       :: Page_op.cells_from p ~slot:(Node.slot_of_entry s)));
-  update t txn fr (Page_op.delete_where p (fun i -> i >= Node.slot_of_entry s));
+  move t txn
+    [
+      ( qfr,
+        Page_op.insert_run ~slot:0
+          (Node.fence_cell Node.whole_fence
+          :: Page_op.cells_from p ~slot:(Node.slot_of_entry s)) );
+      (fr, Page_op.delete_where p (fun i -> i >= Node.slot_of_entry s));
+    ];
   let target = if String.compare key sep < 0 then fr else qfr in
   (match Node.find (page target) key with
   | `Found _ -> failwith "bt_treelatch: key reappeared"
@@ -178,10 +184,13 @@ let grow_root t txn ~sep ~right =
   let fr = pin t t.root in
   let p = page fr in
   let lfr = Env.alloc_page t.env txn ~kind:(Page.kind p) ~level:(Page.level p) in
-  update t txn lfr
-    (Page_op.insert_run ~slot:0
-       (Node.fence_cell Node.whole_fence :: Page_op.cells_from p ~slot:1));
-  update t txn fr (Page_op.delete_where p (fun _ -> true));
+  move t txn
+    [
+      (fr, Page_op.delete_where p (fun _ -> true));
+      ( lfr,
+        Page_op.insert_run ~slot:0
+          (Node.fence_cell Node.whole_fence :: Page_op.cells_from p ~slot:1) );
+    ];
   update t txn fr
     (Page_op.Reformat
        {

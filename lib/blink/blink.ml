@@ -26,7 +26,6 @@ module Traversal = Pitree_core.Traversal
 let () =
   List.iter Crash_point.register
     [
-      "blink.split.filled";
       "blink.split.linked";
       "blink.split.committed";
       "blink.root.grown";
@@ -162,6 +161,10 @@ let injected_bug = ref No_bug
 (* Logged page update under [txn]; caller holds the X latch. *)
 let update t txn fr op =
   if not (Page_op.is_noop op) then ignore (Txn_mgr.update (mgr t) txn fr op)
+
+(* One logged change over several pages (frames X-latched): a structure
+   change that moves cells logs its fill and its truncation together. *)
+let move t txn parts = ignore (Txn_mgr.move (mgr t) txn parts)
 
 (* Leaf-record update by a user transaction. Under non-page-oriented UNDO
    it carries a logical-undo descriptor, because committed independent
@@ -303,18 +306,17 @@ let split_node t txn fr ~pending =
   (* New sibling: delegated [sep, old high); responsible through the old
      sibling chain, so it inherits fence.high/resp_high and the side
      pointer (section 3.2.1 step 3: "include any sibling terms to subspaces
-     for which the new node is now responsible"). *)
-  update t txn qfr
-    (Page_op.insert_run ~slot:0
-       (Node.fence_cell
-          { Node.low = Some sep; high = f.Node.high; resp_high = f.Node.resp_high }
-       :: Page_op.cells_from p ~slot:(Node.slot_of_entry s)));
-  if Page.side_ptr p <> Page.nil then
-    update t txn qfr
-      (Page_op.Set_side_ptr { old_ptr = Page.nil; new_ptr = Page.side_ptr p });
-  Crash_point.hit "blink.split.filled";
-  (* Original node: keep [low, sep), delegate the rest to the sibling. *)
-  update t txn fr (Page_op.delete_where p (fun i -> i >= Node.slot_of_entry s));
+     for which the new node is now responsible"). The original node keeps
+     [low, sep): the moved records leave it in the same log record. *)
+  move t txn
+    (( qfr,
+       Page_op.insert_run ~slot:0
+         (Node.fence_cell
+            { Node.low = Some sep; high = f.Node.high; resp_high = f.Node.resp_high }
+         :: Page_op.cells_from p ~slot:(Node.slot_of_entry s)) )
+     :: (if Page.side_ptr p = Page.nil then []
+         else [ (qfr, Page_op.Set_side_ptr { old_ptr = Page.nil; new_ptr = Page.side_ptr p }) ])
+    @ [ (fr, Page_op.delete_where p (fun i -> i >= Node.slot_of_entry s)) ]);
   (* Injected bug 1: drop the X latch after moving the upper records out
      but before shrinking the fence — a reader slipping into the window
      sees the node still claiming [low, old high) with those records
@@ -347,29 +349,30 @@ let grow_root t txn fr ~pending =
   let sep, qfr = split_node t txn fr ~pending in
   let p = page fr in
   let lfr = Env.alloc_page t.env txn ~kind:(Page.kind p) ~level:(Page.level p) in
-  (* Left child takes everything the (post-split) root still holds. *)
-  update t txn lfr (Page_op.insert_run ~slot:0 (Page_op.cells_from p ~slot:0));
-  update t txn lfr
-    (Page_op.Set_side_ptr { old_ptr = Page.nil; new_ptr = Page.id (page qfr) });
-  (* Strip the root and raise it one level. *)
-  update t txn fr (Page_op.delete_where p (fun _ -> true));
-  update t txn fr
-    (Page_op.Set_side_ptr { old_ptr = Page.side_ptr p; new_ptr = Page.nil });
-  update t txn fr
-    (Page_op.Reformat
-       {
-         old_kind = Page.kind p;
-         new_kind = Page.Index;
-         old_level = Page.level p;
-         new_level = Page.level p + 1;
-       });
-  update t txn fr
-    (Page_op.insert_run ~slot:0
-       [
-         Node.fence_cell Node.whole_fence;
-         Node.index_term_cell ~sep:"" ~child:(Page.id (page lfr));
-         Node.index_term_cell ~sep ~child:(Page.id (page qfr));
-       ]);
+  (* Left child takes everything the (post-split) root still holds; the
+     root is stripped and raised one level, all in one log record. *)
+  move t txn
+    [
+      (lfr, Page_op.insert_run ~slot:0 (Page_op.cells_from p ~slot:0));
+      (lfr, Page_op.Set_side_ptr { old_ptr = Page.nil; new_ptr = Page.id (page qfr) });
+      (fr, Page_op.delete_where p (fun _ -> true));
+      (fr, Page_op.Set_side_ptr { old_ptr = Page.side_ptr p; new_ptr = Page.nil });
+      ( fr,
+        Page_op.Reformat
+          {
+            old_kind = Page.kind p;
+            new_kind = Page.Index;
+            old_level = Page.level p;
+            new_level = Page.level p + 1;
+          } );
+      ( fr,
+        Page_op.insert_run ~slot:0
+          [
+            Node.fence_cell Node.whole_fence;
+            Node.index_term_cell ~sep:"" ~child:(Page.id (page lfr));
+            Node.index_term_cell ~sep ~child:(Page.id (page qfr));
+          ] );
+    ];
   bump t.c.c_root_splits;
   Crash_point.hit "blink.root.grown";
   (lfr, sep, qfr)
@@ -1325,10 +1328,13 @@ let do_consolidate t ~key ~level =
               (* Move C's records into LN (always contained -> containing,
                  section 3.3). *)
               let first = Node.slot_of_entry 0 in
-              update t txn lnfr
-                (Page_op.insert_run ~slot:(Page.slot_count lnp)
-                   (Page_op.cells_from cp ~slot:first));
-              update t txn cfr (Page_op.delete_where cp (fun j -> j >= first));
+              move t txn
+                [
+                  ( lnfr,
+                    Page_op.insert_run ~slot:(Page.slot_count lnp)
+                      (Page_op.cells_from cp ~slot:first) );
+                  (cfr, Page_op.delete_where cp (fun j -> j >= first));
+                ];
               Crash_point.hit "blink.merge.moved";
               (* LN takes over C's delegation boundary, responsibility and
                  sibling chain. *)

@@ -500,6 +500,10 @@ let forensics log env ctl =
            | Log_record.Clr { page; _ }
            | Log_record.Page_image { page; _ } ->
                touch page
+           | Log_record.Move { parts } | Log_record.Move_clr { parts; _ } ->
+               List.sort_uniq compare
+                 (List.map (fun { Log_record.page; _ } -> page) parts)
+               |> List.iter touch
            | _ -> ())
      with e ->
        log

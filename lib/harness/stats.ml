@@ -38,6 +38,8 @@ let of_env ?faults env =
    distributions are cumulative for the component's lifetime (histograms
    are not subtractable), which matches the common fresh-env-per-run
    usage; the [resident_bytes] gauge is its end-of-run value. *)
+let kinds_delta before after = List.map2 (fun (k, b) (_, a) -> (k, a - b)) before after
+
 let wal_delta (before : Log_manager.stats) (after : Log_manager.stats) =
   {
     after with
@@ -54,6 +56,8 @@ let wal_delta (before : Log_manager.stats) (after : Log_manager.stats) =
       after.Log_manager.truncated_records - before.Log_manager.truncated_records;
     truncated_bytes =
       after.Log_manager.truncated_bytes - before.Log_manager.truncated_bytes;
+    kind_appends = kinds_delta before.Log_manager.kind_appends after.Log_manager.kind_appends;
+    kind_bytes = kinds_delta before.Log_manager.kind_bytes after.Log_manager.kind_bytes;
   }
 
 (* Same policy for pool stats: counters are run deltas (with the hit ratio
@@ -196,7 +200,7 @@ let wal_json b (w : Log_manager.stats) =
      \"batch_mean\": %.2f, \"batch_p99\": %d, \
      \"batch_max\": %d, \"wait_mean_ns\": %.0f, \"wait_p50_ns\": %d, \
      \"wait_p99_ns\": %d, \"truncations\": %d, \"truncated_records\": %d, \
-     \"truncated_bytes\": %d}"
+     \"truncated_bytes\": %d, \"kinds\": {%s}}"
     w.Log_manager.appends w.Log_manager.forces w.Log_manager.flushes
     w.Log_manager.flush_requests w.Log_manager.logical_commits
     w.Log_manager.bytes w.Log_manager.resident_bytes w.Log_manager.batch_mean
@@ -204,6 +208,11 @@ let wal_json b (w : Log_manager.stats) =
     w.Log_manager.wait_p50_ns w.Log_manager.wait_p99_ns
     w.Log_manager.truncations w.Log_manager.truncated_records
     w.Log_manager.truncated_bytes
+    (String.concat ", "
+       (List.map2
+          (fun (k, n) (_, bytes) ->
+            Printf.sprintf "\"%s\": {\"appends\": %d, \"bytes\": %d}" k n bytes)
+          w.Log_manager.kind_appends w.Log_manager.kind_bytes))
 
 let pool_json b (p : Buffer_pool.stats) =
   Printf.bprintf b

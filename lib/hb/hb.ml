@@ -191,15 +191,17 @@ let choose_extraction ~k ~region ~points =
   in
   go region points 0
 
-(* Fill the new sibling [into] with its header cells [head] and the
-   [moving] records (as listed by a split: point, (slot, value)), then
-   remove those records from [from]: one record per page. *)
-let move_records t txn ~from ~into ~head moving =
-  update t txn into
-    (Page_op.insert_run ~slot:0
-       (head @ List.map (fun (pt, (_, v)) -> record_cell ~point:pt ~value:v) moving));
-  let slots = List.map (fun (_, (slot, _)) -> slot) moving in
-  update t txn from (Page_op.delete_where (page from) (fun i -> List.mem i slots))
+(* Fill the new sibling [into] with its header cells [head] and the cells
+   at [slots] of [from] (ascending), and remove those cells from [from],
+   in one log record. *)
+let move_records t txn ~from ~into ~head slots =
+  let p = page from in
+  ignore
+    (Txn_mgr.move (mgr t) txn
+       [
+         (into, Page_op.insert_run ~slot:0 (head @ List.map (Page.get p) slots));
+         (from, Page_op.delete_where p (fun i -> List.mem i slots));
+       ])
 
 (* Fallback data split for nodes whose kd-tree is fragmented (no single
    Here leaf holds two points): extract the heavier kd-root subtree with
@@ -222,7 +224,7 @@ let split_data_subtree t txn fr =
       let moving = List.filter (fun (pt, _) -> brick_contains bq pt) records in
       let qfr = Env.alloc_page t.env txn ~kind:Page.Data ~level:0 in
       move_records t txn ~from:fr ~into:qfr ~head:[ brick_cell bq; Hkd.encode moved_kd ]
-        moving;
+        (List.map (fun (_, (slot, _)) -> slot) moving);
       let qpid = Page.id (page qfr) in
       set_kd t txn fr
         (if take_right then
@@ -269,7 +271,7 @@ let split_data_node t txn fr =
         let qfr = Env.alloc_page t.env txn ~kind:Page.Data ~level:0 in
         move_records t txn ~from:fr ~into:qfr
           ~head:[ brick_cell b; Hkd.encode (Hkd.Leaf Hkd.Here) ]
-          moving;
+          (List.map (fun (_, (slot, _)) -> slot) moving);
         let qpid = Page.id (page qfr) in
         set_kd t txn fr (Hkd.carve kd ~region:brick ~brick:b (Hkd.Sibling qpid));
         Atomic.incr t.c_data_splits;
@@ -376,13 +378,13 @@ let grow_root t txn fr ~split_node =
   let p = page fr in
   let brick = node_brick p in
   let lfr = Env.alloc_page t.env txn ~kind:(Page.kind p) ~level:(Page.level p) in
-  update t txn lfr (Page_op.insert_run ~slot:0 (Page_op.cells_from p ~slot:0));
+  (* The root's contents move to L in one log record. *)
+  move_records t txn ~from:fr ~into:lfr ~head:[] (List.init (Page.slot_count p) Fun.id);
   (* The root's page is X-latched by us; nothing reaches L yet, so we can
      split L without latching it. *)
   latch lfr Latch.X;
   let split_result = split_node t txn lfr in
   unlatch lfr Latch.X;
-  update t txn fr (Page_op.delete_where p (fun _ -> true));
   update t txn fr
     (Page_op.Reformat
        {

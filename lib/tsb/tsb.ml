@@ -115,6 +115,12 @@ let promote = Traversal.promote
 let update t txn fr op =
   if not (Page_op.is_noop op) then ignore (Txn_mgr.update (mgr t) txn fr op)
 
+(* One logged change over several pages (frames X-latched). *)
+let move t txn parts = ignore (Txn_mgr.move (mgr t) txn parts)
+
+(* [part] if [cond], for building a move's part list. *)
+let part_if cond part = if cond then [ part ] else []
+
 let is_history p = Page.flags p land Tnode.history_flag <> 0
 
 let dummy_time = Tnode.time_cell { Tnode.t_low = 0; t_high = None }
@@ -168,35 +174,54 @@ let time_split t txn fr =
   let ts = alloc_ts t txn in
   let tc = Tnode.time_of p in
   let hfr = Env.alloc_page t.env txn ~kind:Page.Data ~level:0 in
-  update t txn hfr
-    (Page_op.insert_run ~slot:0
-       (Page.get p 0
-       :: Tnode.time_cell { Tnode.t_low = tc.Tnode.t_low; t_high = Some ts }
-       :: Page_op.cells_from p ~slot:(Tnode.slot_of_entry 0)));
-  update t txn hfr
-    (Page_op.Set_flags { old_flags = 0; new_flags = Tnode.history_flag });
-  if Page.aux_ptr p <> Page.nil then
-    update t txn hfr
-      (Page_op.Set_aux_ptr { old_ptr = Page.nil; new_ptr = Page.aux_ptr p });
-  (* Trim the current node to its alive versions and link the history
-     node. *)
+  (* The current node is trimmed to its alive versions and linked to the
+     history node in the same log record; the dead versions it drops are
+     logged as positions in the history node's copy. *)
   let alive = alive_flags p in
   let first = Tnode.slot_of_entry 0 in
-  update t txn fr
-    (Page_op.delete_where p (fun i -> i >= first && not alive.(i - first)));
-  update t txn fr
-    (Page_op.Replace_slot
-       {
-         slot = 1;
-         old_cell = Tnode.time_cell tc;
-         new_cell = Tnode.time_cell { Tnode.t_low = ts; t_high = None };
-       });
-  update t txn fr
-    (Page_op.Set_aux_ptr { old_ptr = Page.aux_ptr p; new_ptr = Page.id (page hfr) });
+  move t txn
+    ([
+       ( hfr,
+         Page_op.insert_run ~slot:0
+           (Page.get p 0
+           :: Tnode.time_cell { Tnode.t_low = tc.Tnode.t_low; t_high = Some ts }
+           :: Page_op.cells_from p ~slot:(Tnode.slot_of_entry 0)) );
+       (hfr, Page_op.Set_flags { old_flags = 0; new_flags = Tnode.history_flag });
+     ]
+    @ part_if (Page.aux_ptr p <> Page.nil)
+        (hfr, Page_op.Set_aux_ptr { old_ptr = Page.nil; new_ptr = Page.aux_ptr p })
+    @ [
+        (fr, Page_op.delete_where p (fun i -> i >= first && not alive.(i - first)));
+        ( fr,
+          Page_op.Replace_slot
+            {
+              slot = 1;
+              old_cell = Tnode.time_cell tc;
+              new_cell = Tnode.time_cell { Tnode.t_low = ts; t_high = None };
+            } );
+        (fr, Page_op.Set_aux_ptr { old_ptr = Page.aux_ptr p; new_ptr = Page.id (page hfr) });
+      ]);
   Atomic.incr t.c_time_splits;
   Atomic.incr t.c_history_nodes;
   Crash_point.hit "tsb.timesplit.linked";
   unpin t hfr
+
+(* The split node's parts of a key or index split: it drops entries [s..],
+   keeps [low, sep) and points its side pointer at the new sibling. *)
+let split_truncation p fr ~s ~sep ~f ~sibling =
+  [
+    (fr, Page_op.delete_where p (fun i -> i >= Tnode.slot_of_entry s));
+    ( fr,
+      Page_op.Replace_slot
+        {
+          slot = 0;
+          old_cell = Tnode.fence_cell f;
+          new_cell =
+            Tnode.fence_cell
+              { Bnode.low = f.Bnode.low; high = Some sep; resp_high = f.Bnode.resp_high };
+        } );
+    (fr, Page_op.Set_side_ptr { old_ptr = Page.side_ptr p; new_ptr = sibling });
+  ]
 
 (* Snap a split entry index to the start of its user key's version run;
    returns None when the node holds a single key. *)
@@ -228,32 +253,20 @@ let key_split t txn fr =
         let sep = Ordkey.composite user_key 0 in
         let f = Tnode.fence p in
         let qfr = Env.alloc_page t.env txn ~kind:(Page.kind p) ~level:(Page.level p) in
-        update t txn qfr
-          (Page_op.insert_run ~slot:0
-             (Tnode.fence_cell
-                { Bnode.low = Some sep; high = f.Bnode.high; resp_high = f.Bnode.resp_high }
-             :: Page.get p 1
-             :: Page_op.cells_from p ~slot:(Tnode.slot_of_entry s)));
-        if Page.side_ptr p <> Page.nil then
-          update t txn qfr
-            (Page_op.Set_side_ptr { old_ptr = Page.nil; new_ptr = Page.side_ptr p });
         (* The copy of the history pointer makes the new node responsible
            for the entire history of its key space (Figure 1). *)
-        if Page.aux_ptr p <> Page.nil then
-          update t txn qfr
-            (Page_op.Set_aux_ptr { old_ptr = Page.nil; new_ptr = Page.aux_ptr p });
-        update t txn fr (Page_op.delete_where p (fun i -> i >= Tnode.slot_of_entry s));
-        update t txn fr
-          (Page_op.Replace_slot
-             {
-               slot = 0;
-               old_cell = Tnode.fence_cell f;
-               new_cell =
-                 Tnode.fence_cell
-                   { Bnode.low = f.Bnode.low; high = Some sep; resp_high = f.Bnode.resp_high };
-             });
-        update t txn fr
-          (Page_op.Set_side_ptr { old_ptr = Page.side_ptr p; new_ptr = Page.id (page qfr) });
+        move t txn
+          (( qfr,
+             Page_op.insert_run ~slot:0
+               (Tnode.fence_cell
+                  { Bnode.low = Some sep; high = f.Bnode.high; resp_high = f.Bnode.resp_high }
+               :: Page.get p 1
+               :: Page_op.cells_from p ~slot:(Tnode.slot_of_entry s)) )
+           :: part_if (Page.side_ptr p <> Page.nil)
+                (qfr, Page_op.Set_side_ptr { old_ptr = Page.nil; new_ptr = Page.side_ptr p })
+          @ part_if (Page.aux_ptr p <> Page.nil)
+              (qfr, Page_op.Set_aux_ptr { old_ptr = Page.nil; new_ptr = Page.aux_ptr p })
+          @ split_truncation p fr ~s ~sep ~f ~sibling:(Page.id (page qfr)));
         Atomic.incr t.c_key_splits;
         Crash_point.hit "tsb.keysplit.linked";
         let qpid = Page.id (page qfr) in
@@ -265,34 +278,34 @@ let key_split t txn fr =
 let grow_root t txn fr ~sep ~right =
   let p = page fr in
   let lfr = Env.alloc_page t.env txn ~kind:(Page.kind p) ~level:(Page.level p) in
-  update t txn lfr (Page_op.insert_run ~slot:0 (Page_op.cells_from p ~slot:0));
-  update t txn lfr
-    (Page_op.Set_side_ptr { old_ptr = Page.nil; new_ptr = right });
-  if Page.aux_ptr p <> Page.nil then begin
-    update t txn lfr
-      (Page_op.Set_aux_ptr { old_ptr = Page.nil; new_ptr = Page.aux_ptr p });
-    update t txn fr
-      (Page_op.Set_aux_ptr { old_ptr = Page.aux_ptr p; new_ptr = Page.nil })
-  end;
-  update t txn fr (Page_op.delete_where p (fun _ -> true));
-  update t txn fr
-    (Page_op.Set_side_ptr { old_ptr = Page.side_ptr p; new_ptr = Page.nil });
-  update t txn fr
-    (Page_op.Reformat
-       {
-         old_kind = Page.kind p;
-         new_kind = Page.Index;
-         old_level = Page.level p;
-         new_level = Page.level p + 1;
-       });
-  update t txn fr
-    (Page_op.insert_run ~slot:0
-       [
-         Tnode.fence_cell Bnode.whole_fence;
-         dummy_time;
-         Tnode.index_term_cell ~sep:"" ~child:(Page.id (page lfr));
-         Tnode.index_term_cell ~sep ~child:right;
-       ]);
+  let aux = Page.aux_ptr p <> Page.nil in
+  move t txn
+    ([
+       (lfr, Page_op.insert_run ~slot:0 (Page_op.cells_from p ~slot:0));
+       (lfr, Page_op.Set_side_ptr { old_ptr = Page.nil; new_ptr = right });
+     ]
+    @ part_if aux (lfr, Page_op.Set_aux_ptr { old_ptr = Page.nil; new_ptr = Page.aux_ptr p })
+    @ part_if aux (fr, Page_op.Set_aux_ptr { old_ptr = Page.aux_ptr p; new_ptr = Page.nil })
+    @ [
+        (fr, Page_op.delete_where p (fun _ -> true));
+        (fr, Page_op.Set_side_ptr { old_ptr = Page.side_ptr p; new_ptr = Page.nil });
+        ( fr,
+          Page_op.Reformat
+            {
+              old_kind = Page.kind p;
+              new_kind = Page.Index;
+              old_level = Page.level p;
+              new_level = Page.level p + 1;
+            } );
+        ( fr,
+          Page_op.insert_run ~slot:0
+            [
+              Tnode.fence_cell Bnode.whole_fence;
+              dummy_time;
+              Tnode.index_term_cell ~sep:"" ~child:(Page.id (page lfr));
+              Tnode.index_term_cell ~sep ~child:right;
+            ] );
+      ]);
   Atomic.incr t.c_root_splits;
   unpin t lfr
 
@@ -397,27 +410,16 @@ and index_split t txn fr =
     let sep = Tnode.entry_key p s in
     let f = Tnode.fence p in
     let qfr = Env.alloc_page t.env txn ~kind:Page.Index ~level:(Page.level p) in
-    update t txn qfr
-      (Page_op.insert_run ~slot:0
-         (Tnode.fence_cell
-            { Bnode.low = Some sep; high = f.Bnode.high; resp_high = f.Bnode.resp_high }
-         :: dummy_time
-         :: Page_op.cells_from p ~slot:(Tnode.slot_of_entry s)));
-    if Page.side_ptr p <> Page.nil then
-      update t txn qfr
-        (Page_op.Set_side_ptr { old_ptr = Page.nil; new_ptr = Page.side_ptr p });
-    update t txn fr (Page_op.delete_where p (fun i -> i >= Tnode.slot_of_entry s));
-    update t txn fr
-      (Page_op.Replace_slot
-         {
-           slot = 0;
-           old_cell = Tnode.fence_cell f;
-           new_cell =
-             Tnode.fence_cell
-               { Bnode.low = f.Bnode.low; high = Some sep; resp_high = f.Bnode.resp_high };
-         });
-    update t txn fr
-      (Page_op.Set_side_ptr { old_ptr = Page.side_ptr p; new_ptr = Page.id (page qfr) });
+    move t txn
+      (( qfr,
+         Page_op.insert_run ~slot:0
+           (Tnode.fence_cell
+              { Bnode.low = Some sep; high = f.Bnode.high; resp_high = f.Bnode.resp_high }
+           :: dummy_time
+           :: Page_op.cells_from p ~slot:(Tnode.slot_of_entry s)) )
+       :: part_if (Page.side_ptr p <> Page.nil)
+            (qfr, Page_op.Set_side_ptr { old_ptr = Page.nil; new_ptr = Page.side_ptr p })
+      @ split_truncation p fr ~s ~sep ~f ~sibling:(Page.id (page qfr)));
     Atomic.incr t.c_key_splits;
     let qpid = Page.id (page qfr) in
     unpin t qfr;

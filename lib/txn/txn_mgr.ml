@@ -120,6 +120,43 @@ let update ?lundo t txn fr op =
   Page.set_lsn fr.Buffer_pool.page lsn;
   lsn
 
+let move t txn parts =
+  match List.filter (fun (_, op) -> not (Page_op.is_noop op)) parts with
+  | [] -> Lsn.null
+  | [ (fr, op) ] -> update t txn fr op
+  | parts ->
+      assert (Txn.is_active txn);
+      (* As in [update]: dirty every page first, then apply; a part that
+         raises undoes the parts applied before it, so nothing unlogged
+         stays behind. *)
+      List.iter (fun (fr, _) -> Buffer_pool.mark_dirty fr) parts;
+      let rec apply done_ = function
+        | [] -> ()
+        | ((fr, op) as part) :: rest -> (
+            match Page_op.redo fr.Buffer_pool.page op with
+            | () -> apply (part :: done_) rest
+            | exception e ->
+                List.iter
+                  (fun (fr, op) -> Page_op.redo fr.Buffer_pool.page (Page_op.invert op))
+                  done_;
+                raise e)
+      in
+      apply [] parts;
+      let body =
+        Log_record.Move
+          {
+            parts =
+              List.map
+                (fun (fr, op) -> { Log_record.page = Page.id fr.Buffer_pool.page; op })
+                parts;
+          }
+      in
+      Mutex.lock t.mu;
+      let lsn = append_locked t txn body in
+      Mutex.unlock t.mu;
+      List.iter (fun (fr, _) -> Page.set_lsn fr.Buffer_pool.page lsn) parts;
+      lsn
+
 let commit ?(commits = 1) ?(hook = true) t txn =
   assert (Txn.is_active txn);
   Mutex.lock t.mu;

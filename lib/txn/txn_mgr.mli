@@ -49,6 +49,18 @@ val update :
     now also the page's LSN. [lundo] attaches a logical-undo descriptor
     (non-page-oriented UNDO; see {!Pitree_wal.Logical}). *)
 
+val move :
+  t -> Txn.t -> (Pitree_storage.Buffer_pool.frame * Pitree_wal.Page_op.t) list ->
+  Pitree_wal.Lsn.t
+(** One logged structure change over several pages: marks every frame
+    dirty, applies the parts in list order, appends one
+    {!Pitree_wal.Log_record.Move} and stamps every page with its LSN,
+    which it returns. A frame may appear in several parts. Empty cell runs
+    are dropped first; a change left with one part is logged as a plain
+    {!update}, one left with none logs nothing and returns
+    [Lsn.null]. The caller holds every frame's X latch. If a part raises,
+    the parts applied before it are undone and nothing is logged. *)
+
 val commit : ?commits:int -> ?hook:bool -> t -> Txn.t -> unit
 (** Appends one Commit (no End follows). Forces the log for [User]
     transactions only, even one that wrote nothing — a [System] commit is

@@ -54,6 +54,8 @@ type t = {
          for N commits, so logical_commits / flush_requests is the
          write-combining fan-in on top of group commit's *)
   mutable bytes : int;
+  kind_appends : int array;  (* per [Log_record.kinds], frames counted in [bytes] *)
+  kind_bytes : int array;
   mutable truncations : int;
   mutable truncated_records : int;
   mutable truncated_bytes : int;
@@ -210,7 +212,8 @@ let grown a n =
    off, exactly as a real log manager does on restart. The file may start
    mid-history (after a truncation); the first frame's LSN tells how much
    of the prefix was reclaimed. Returns the offsets, their count, the
-   first LSN, the highest txn id and the length of the intact prefix. *)
+   first LSN, the highest txn id, the length of the intact prefix and the
+   frames and bytes per record kind. *)
 let load fd =
   let size = (Unix.fstat fd).Unix.st_size in
   let buf = ref Bytes.empty in
@@ -237,6 +240,8 @@ let load fd =
   in
   let offs = ref (Array.make 1024 0) and n = ref 0 in
   let first = ref Lsn.null and max_txn = ref 0 in
+  let kind_appends = Array.make (Array.length Log_record.kinds) 0 in
+  let kind_bytes = Array.make (Array.length Log_record.kinds) 0 in
   let rec scan () =
     let at = !base + !pos in
     if not (ensure 4) then at
@@ -253,13 +258,16 @@ let load fd =
             !offs.(!n) <- at;
             incr n;
             if txn > !max_txn then max_txn := txn;
+            let k = Log_record.frame_kind (Bytes.unsafe_to_string !buf) ~pos:!pos in
+            kind_appends.(k) <- kind_appends.(k) + 1;
+            kind_bytes.(k) <- kind_bytes.(k) + total;
             pos := !pos + total;
             scan ()
   in
   let intact = scan () in
   (* Truncate any torn tail so future appends start clean. *)
   if intact < size then Unix.ftruncate fd intact;
-  (!offs, !n, !first, !max_txn, intact)
+  (!offs, !n, !first, !max_txn, intact, (kind_appends, kind_bytes))
 
 let make ~group_commit store =
   {
@@ -288,6 +296,8 @@ let make ~group_commit store =
     flush_requests = 0;
     logical_commits = 0;
     bytes = 0;
+    kind_appends = Array.make (Array.length Log_record.kinds) 0;
+    kind_bytes = Array.make (Array.length Log_record.kinds) 0;
     truncations = 0;
     truncated_records = 0;
     truncated_bytes = 0;
@@ -300,7 +310,7 @@ let create ?path ?(group_commit = true) () =
   | None -> make ~group_commit (Mem { data = Bytes.empty })
   | Some path ->
       let wfd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
-      let offs, n, first, max_txn, size = load wfd in
+      let offs, n, first, max_txn, size, (kind_appends, kind_bytes) = load wfd in
       let rfd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
       let t = make ~group_commit (File { path; wfd; rfd }) in
       (* A truncated log starts mid-history: the purged prefix is implied
@@ -322,6 +332,8 @@ let create ?path ?(group_commit = true) () =
       t.next_off <- size;
       t.durable_off <- size;
       t.bytes <- size;
+      Array.blit kind_appends 0 t.kind_appends 0 (Array.length kind_appends);
+      Array.blit kind_bytes 0 t.kind_bytes 0 (Array.length kind_bytes);
       t
 
 let window t = t.count - t.purged
@@ -353,6 +365,9 @@ let append_frame t ~prev ~txn body =
   t.count <- lsn;
   if txn > t.max_txn then t.max_txn <- txn;
   t.bytes <- t.bytes + len;
+  let k = Log_record.kind body in
+  t.kind_appends.(k) <- t.kind_appends.(k) + 1;
+  t.kind_bytes.(k) <- t.kind_bytes.(k) + len;
   Mutex.unlock t.mu;
   (lsn, len)
 
@@ -504,13 +519,14 @@ let read t lsn =
   else read_durable t ~pos:(off - t.file_base) buf len;
   Log_record.decode (Bytes.unsafe_to_string buf)
 
-(* Records come from the store a block at a time (or from the tail, copied
-   out under [mu]) and are decoded in place; [f] runs with no lock held, so
-   it may read, append or iterate itself. Their CRCs are not checked again:
+(* Frames come from the store a block at a time (or from the tail, copied
+   out under [mu]) and are handed to [f] in place; [f] runs with no lock
+   held, so it may read, append or iterate itself, and must be done with
+   the block when it returns. Their CRCs are not checked again:
    every frame of an opened file passed [load]'s check, and every other
    frame (the tail, an in-memory store, appends since the open) was
    encoded by this process. *)
-let iter_from t lsn f =
+let iter_frames t lsn f =
   let block = ref Bytes.empty in
   let rec go i =
     Mutex.lock t.mu;
@@ -538,7 +554,7 @@ let iter_from t lsn f =
          the block can be refilled. *)
       let rec each pos i =
         if pos + 4 <= len && pos + Log_record.frame_length s ~pos <= len then begin
-          f (Log_record.decode ~pos ~check:false s);
+          f s ~pos;
           each (pos + Log_record.frame_length s ~pos) (i + 1)
         end
         else i
@@ -547,6 +563,8 @@ let iter_from t lsn f =
     end
   in
   go (max (first_lsn t) lsn)
+
+let iter_from t lsn f = iter_frames t lsn (fun s ~pos -> f (Log_record.decode ~pos ~check:false s))
 
 let max_txn_id t =
   Mutex.lock t.mu;
@@ -620,7 +638,7 @@ let crash t =
   Mutex.lock t.mu;
   let fresh =
     match t.store with
-    | Mem _ ->
+    | Mem m ->
         (* The store survives; the volatile tail does not. *)
         let fresh = make ~group_commit:t.group_commit t.store in
         fresh.offs <- Array.sub t.offs 0 (t.durable - t.purged);
@@ -635,6 +653,15 @@ let crash t =
           (if t.redo_from <= t.durable then t.redo_from else t.purged + 1);
         fresh.ckpt_lsn <- (if t.ckpt_lsn <= t.durable then t.ckpt_lsn else Lsn.null);
         fresh.bytes <- t.durable_off - t.file_base;
+        (* Count the surviving frames by kind, as a reopened file does. *)
+        let data = Bytes.unsafe_to_string m.data in
+        Array.iter
+          (fun off ->
+            let pos = off - t.file_base in
+            let k = Log_record.frame_kind data ~pos in
+            fresh.kind_appends.(k) <- fresh.kind_appends.(k) + 1;
+            fresh.kind_bytes.(k) <- fresh.kind_bytes.(k) + Log_record.frame_length data ~pos)
+          fresh.offs;
         fresh
     | File f ->
         (* Power failure: only the file survives. Reopen it. *)
@@ -662,6 +689,8 @@ type stats = {
   truncations : int;
   truncated_records : int;
   truncated_bytes : int;
+  kind_appends : (string * int) list;
+  kind_bytes : (string * int) list;
 }
 
 let stats t =
@@ -688,6 +717,8 @@ let stats t =
       truncations = t.truncations;
       truncated_records = t.truncated_records;
       truncated_bytes = t.truncated_bytes;
+      kind_appends = List.combine (Array.to_list Log_record.kinds) (Array.to_list t.kind_appends);
+      kind_bytes = List.combine (Array.to_list Log_record.kinds) (Array.to_list t.kind_bytes);
     }
   in
   Mutex.unlock t.mu;
@@ -701,4 +732,7 @@ let pp_stats ppf s =
     s.appends s.forces s.flushes s.flush_requests s.logical_commits s.bytes
     s.resident_bytes s.batch_mean
     s.batch_p99 s.batch_max s.wait_mean_ns s.wait_p50_ns s.wait_p99_ns
-    s.truncations s.truncated_records s.truncated_bytes
+    s.truncations s.truncated_records s.truncated_bytes;
+  List.iter2
+    (fun (k, n) (_, b) -> Format.fprintf ppf " %s{n=%d bytes=%d}" k n b)
+    s.kind_appends s.kind_bytes

@@ -69,6 +69,11 @@ val read : t -> Lsn.t -> Log_record.t
 val iter_from : t -> Lsn.t -> (Log_record.t -> unit) -> unit
 (** [iter_from t lsn f] applies [f] to records [lsn], [lsn+1], ... in order. *)
 
+val iter_frames : t -> Lsn.t -> (string -> pos:int -> unit) -> unit
+(** {!iter_from} without the decode: [f s ~pos] gets each frame where it
+    sits in the scan block, to decode itself (its CRC already checked).
+    [s] is valid only until [f] returns. *)
+
 val redo_start : t -> Lsn.t
 (** The redo floor: the lowest LSN recovery's redo pass may need
     (min rec_lsn over the last checkpoint's dirty-page table, or the first
@@ -140,6 +145,11 @@ type stats = {
   truncations : int;  (** truncate calls that discarded at least one record *)
   truncated_records : int;
   truncated_bytes : int;  (** encoded bytes reclaimed by truncation *)
+  kind_appends : (string * int) list;
+      (** frames counted in [bytes], per record kind
+          ({!Log_record.kinds}: update, move, clr, image, commit, other) *)
+  kind_bytes : (string * int) list;
+      (** their encoded bytes, per kind; they sum to [bytes] *)
 }
 
 val stats : t -> stats

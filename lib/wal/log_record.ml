@@ -7,6 +7,8 @@ let pp_txn_kind ppf k =
 
 type lundo = { tree : int; comp : Logical.comp }
 
+type part = { page : int; op : Page_op.t }
+
 type body =
   | Begin of { kind : txn_kind }
   | Commit
@@ -22,6 +24,8 @@ type body =
       att : (int * Lsn.t * bool) list;
     }
   | Commit_ts of { ts : int }
+  | Move of { parts : part list }
+  | Move_clr of { parts : part list; undo_next : Lsn.t }
 
 type t = { lsn : Lsn.t; prev : Lsn.t; txn : int; body : body }
 
@@ -36,12 +40,45 @@ let body_tag = function
   | Begin_checkpoint -> 8
   | End_checkpoint _ -> 9
   | Commit_ts _ -> 10
+  | Move _ -> 12
+  | Move_clr _ -> 13
+
+let kinds = [| "update"; "move"; "clr"; "image"; "commit"; "other" |]
+
+let kind_of_tag = function
+  | 5 -> 0
+  | 12 -> 1
+  | 6 | 13 -> 2
+  | 7 | 11 -> 3
+  | 2 -> 4
+  | _ -> 5
+
+let kind body = kind_of_tag (body_tag body)
+
+(* The body tag sits after the u32 length and the three 8-byte header
+   words (lsn, prev, txn). *)
+let frame_kind s ~pos =
+  if pos < 0 || pos + 28 >= String.length s then
+    raise (Codec.Corrupt "log record header truncated");
+  kind_of_tag (Char.code (String.get s (pos + 28)))
+
+(* Does [cell] begin with [key] as a length-prefixed field (u32 length,
+   then the bytes)? Record cells of blink and TSB lead with their key so. *)
+let leads_with cell key =
+  let k = String.length key in
+  String.length cell >= 4 + k
+  && Int32.to_int (String.get_int32_le cell 0) land 0xffffffff = k
+  &&
+  let rec eq i = i >= k || (String.unsafe_get cell (4 + i) = String.unsafe_get key i && eq (i + 1)) in
+  eq 0
 
 (* An update's lundo flag: 0 none, 1 a compensation spelled out in full,
    2 a [Put] of the op's own before-image ([Replace_slot.old_cell] or
    [Delete_slot.cell]), 3 a [Remove] keyed by the op's own cell
-   ([Insert_slot.cell]). Flags 2 and 3 carry only the tree: the shared
-   bytes are stored once, in the op, and decode rebuilds the value. *)
+   ([Insert_slot.cell]), 4 a [Remove] keyed by the leading field of the
+   op's own cell ({!leads_with}). Flags 2-4 carry only the tree: the
+   shared bytes are stored once, in the op, and decode rebuilds the
+   value. *)
 let lundo_flag op comp =
   match (op, comp) with
   | ( (Page_op.Replace_slot { old_cell = c; _ } | Page_op.Delete_slot { cell = c; _ }),
@@ -51,6 +88,7 @@ let lundo_flag op comp =
   | Page_op.Insert_slot { cell; _ }, Logical.Remove { key } when String.equal cell key
     ->
       3
+  | Page_op.Insert_slot { cell; _ }, Logical.Remove { key } when leads_with cell key -> 4
   | _ -> 1
 
 let shared_lundo flag tree op =
@@ -58,6 +96,14 @@ let shared_lundo flag tree op =
   | 2, (Page_op.Replace_slot { old_cell = cell; _ } | Page_op.Delete_slot { cell; _ }) ->
       { tree; comp = Logical.Put { cell } }
   | 3, Page_op.Insert_slot { cell; _ } -> { tree; comp = Logical.Remove { key = cell } }
+  | 4, Page_op.Insert_slot { cell; _ } ->
+      let k =
+        if String.length cell < 4 then -1
+        else Int32.to_int (String.get_int32_le cell 0) land 0xffffffff
+      in
+      if k < 0 || k > String.length cell - 4 then
+        raise (Codec.Corrupt "lundo key past its cell");
+      { tree; comp = Logical.Remove { key = String.sub cell 4 k } }
   | _ -> raise (Codec.Corrupt (Printf.sprintf "lundo tag %d on a foreign op" flag))
 
 (* A page image's longest run of zero bytes (offset, length). Images are
@@ -85,6 +131,164 @@ let zero_hole s =
     end
   done;
   (!best_off, !best_len)
+
+(* --- move parts ---
+
+   A part whose op is a cell run ([Insert_cells]/[Delete_cells]) is
+   written compactly; any other op is written as {!Page_op.encode} does
+   (form 0). A run's form byte is [1 + bits]:
+   - bit 0: a delete run (else an insert run);
+   - bits 1-2: its slots — 0 one u16 each, 1 ascending by one from a
+     first, 2 all equal to a first;
+   - bit 3: its cells are an in-order subsequence of an earlier part's
+     run, written as u16 positions in that part instead of bytes;
+   - bit 4 (with bit 3): the positions ascend by one from a first.
+   Then: u16 count; the slots (the first slot, or one u16 per cell);
+   the cells (the source part's index and then the first position or
+   one u16 position per cell, or one u16 length and the bytes per cell).
+   Decode rebuilds the very op the engine built. A run with a slot or a
+   cell of 64 KiB or more keeps form 0. *)
+
+let run_of = function
+  | Page_op.Insert_cells { cells } -> Some (false, cells)
+  | Page_op.Delete_cells { cells } -> Some (true, cells)
+  | _ -> None
+
+let compact_run cells =
+  List.length cells <= 0xffff
+  && List.for_all (fun (slot, c) -> slot <= 0xffff && String.length c <= 0xffff) cells
+
+let rec ascends_by step x = function
+  | [] -> true
+  | y :: rest -> y = x && ascends_by step (x + step) rest
+
+(* Slot form and first slot: see above. *)
+let slot_form = function
+  | [] -> (2, 0)
+  | (s, _) :: _ as cells ->
+      let slots = List.map fst cells in
+      if ascends_by 1 s slots then (1, s) else if ascends_by 0 s slots then (2, s) else (0, 0)
+
+(* Positions of [cells] as an in-order subsequence of [src], if they are
+   one. *)
+let positions src cells =
+  let n = Array.length src in
+  let rec go j acc = function
+    | [] -> Some (List.rev acc)
+    | (_, c) :: rest -> (
+        let rec find j =
+          if j >= n then None else if String.equal src.(j) c then Some j else find (j + 1)
+        in
+        match find j with None -> None | Some k -> go (k + 1) (k :: acc) rest)
+  in
+  go 0 [] cells
+
+(* [prior] holds the cells of the record's earlier run parts, oldest
+   first, with their part index. *)
+let put_part b prior { page; op } =
+  Codec.put_u32 b page;
+  match run_of op with
+  | Some (del, cells) when compact_run cells ->
+      let slots, first = slot_form cells in
+      let source =
+        if cells = [] then None
+        else
+          List.find_map
+            (fun (j, src) -> Option.map (fun pos -> (j, pos)) (positions src cells))
+            prior
+      in
+      let consec =
+        match source with Some (_, (p :: _ as pos)) -> ascends_by 1 p pos | _ -> false
+      in
+      Codec.put_u8 b
+        (1 + Bool.to_int del + (slots lsl 1)
+        + (if source = None then 0 else 8)
+        + if consec then 16 else 0);
+      Codec.put_u16 b (List.length cells);
+      if slots = 0 then List.iter (fun (slot, _) -> Codec.put_u16 b slot) cells
+      else Codec.put_u16 b first;
+      (match source with
+      | None ->
+          List.iter
+            (fun (_, c) ->
+              Codec.put_u16 b (String.length c);
+              Buffer.add_string b c)
+            cells
+      | Some (j, pos) ->
+          Codec.put_u16 b j;
+          if consec then Codec.put_u16 b (List.hd pos)
+          else List.iter (Codec.put_u16 b) pos)
+  | _ ->
+      Codec.put_u8 b 0;
+      Page_op.encode b op
+
+let put_parts b parts =
+  Codec.put_u16 b (List.length parts);
+  ignore
+    (List.fold_left
+       (fun (i, prior) part ->
+         put_part b prior part;
+         ( i + 1,
+           match run_of part.op with
+           | Some (_, cells) -> prior @ [ (i, Array.of_list (List.map snd cells)) ]
+           | None -> prior ))
+       (0, []) parts)
+
+let get_string r n =
+  let s = Bytes.create n in
+  Codec.get_blit r s ~pos:0 ~len:n;
+  Bytes.unsafe_to_string s
+
+let get_part r prior i =
+  let page = Codec.get_u32 r in
+  let op =
+    match Codec.get_u8 r with
+    | 0 -> Page_op.decode r
+    | form when form <= 32 ->
+        let f = form - 1 in
+        let slots = (f lsr 1) land 3 and shared = f land 8 <> 0 and consec = f land 16 <> 0 in
+        if slots = 3 || (consec && not shared) then
+          raise (Codec.Corrupt (Printf.sprintf "bad move part form %d" form));
+        let n = Codec.get_u16 r in
+        let slot =
+          if slots = 0 then
+            let a = Array.init n (fun _ -> Codec.get_u16 r) in
+            Array.get a
+          else
+            let first = Codec.get_u16 r in
+            if slots = 1 then fun k -> first + k else fun _ -> first
+        in
+        let cell =
+          if not shared then fun _ -> get_string r (Codec.get_u16 r)
+          else begin
+            let j = Codec.get_u16 r in
+            let src =
+              match if j < i then prior.(j) else None with
+              | Some src -> src
+              | None -> raise (Codec.Corrupt "move part shares a foreign part")
+            in
+            let at p =
+              if p >= Array.length src then
+                raise (Codec.Corrupt "move part position past its source");
+              src.(p)
+            in
+            if consec then
+              let p0 = Codec.get_u16 r in
+              fun k -> at (p0 + k)
+            else fun _ -> at (Codec.get_u16 r)
+          end
+        in
+        let cells = List.init n (fun k -> (slot k, cell k)) in
+        if f land 1 = 1 then Page_op.Delete_cells { cells } else Page_op.Insert_cells { cells }
+    | form -> raise (Codec.Corrupt (Printf.sprintf "bad move part form %d" form))
+  in
+  prior.(i) <- Option.map (fun (_, cells) -> Array.of_list (List.map snd cells)) (run_of op);
+  { page; op }
+
+let get_parts r =
+  let n = Codec.get_u16 r in
+  let prior = Array.make n None in
+  List.init n (fun i -> get_part r prior i)
 
 let payload b t =
   Codec.put_int b t.lsn;
@@ -139,7 +343,11 @@ let payload b t =
           Codec.put_int b lsn;
           Codec.put_u8 b (if committed then 1 else 0))
         att
-  | Commit_ts { ts } -> Codec.put_int b ts)
+  | Commit_ts { ts } -> Codec.put_int b ts
+  | Move { parts } -> put_parts b parts
+  | Move_clr { parts; undo_next } ->
+      Codec.put_int b undo_next;
+      put_parts b parts)
 
 let frame_payload b dst ~pos =
   let len = Buffer.length b in
@@ -182,7 +390,33 @@ let verify s ~pos =
   let txn = Codec.get_int r in
   (lsn, txn)
 
-let decode ?(pos = 0) ?check s =
+(* Fill [dst] with an image of [len] bytes whose zero run
+   [hole_off, hole_off + hole_len) is not in the frame. *)
+let get_image r dst ~len ~hole_off ~hole_len =
+  let tail = hole_off + hole_len in
+  if tail > len then raise (Codec.Corrupt "page image hole past its end");
+  if len > Bytes.length dst then raise (Codec.Corrupt "page image larger than its page");
+  Codec.get_blit r dst ~pos:0 ~len:hole_off;
+  Bytes.fill dst hole_off hole_len '\000';
+  Codec.get_blit r dst ~pos:tail ~len:(len - tail)
+
+let blit_image s ~pos dst =
+  let len = checked_payload ~check:false s ~pos in
+  let r = Codec.reader ~pos:(pos + 4 + 24) ~len:(len - 24) s in
+  match Codec.get_u8 r with
+  | 7 ->
+      ignore (Codec.get_u32 r);
+      let len = Codec.get_u32 r in
+      get_image r dst ~len ~hole_off:len ~hole_len:0
+  | 11 ->
+      ignore (Codec.get_u32 r);
+      let len = Codec.get_u32 r in
+      let hole_off = Codec.get_u32 r in
+      let hole_len = Codec.get_u32 r in
+      get_image r dst ~len ~hole_off ~hole_len
+  | n -> raise (Codec.Corrupt (Printf.sprintf "log body tag %d is not a page image" n))
+
+let decode ?(pos = 0) ?check ?(images = true) s =
   let len = checked_payload ?check s ~pos in
   let r = Codec.reader ~pos:(pos + 4) ~len s in
   let lsn = Codec.get_int r in
@@ -199,7 +433,7 @@ let decode ?(pos = 0) ?check s =
     | 5 ->
         let page = Codec.get_u32 r in
         let flag = Codec.get_u8 r in
-        if flag > 3 then raise (Codec.Corrupt (Printf.sprintf "bad lundo tag %d" flag));
+        if flag > 4 then raise (Codec.Corrupt (Printf.sprintf "bad lundo tag %d" flag));
         let tree = if flag = 0 then 0 else Codec.get_u32 r in
         let comp = if flag = 1 then Some (Logical.decode r) else None in
         let op = Page_op.decode r in
@@ -215,6 +449,7 @@ let decode ?(pos = 0) ?check s =
         let undo_next = Codec.get_int r in
         let op = Page_op.decode r in
         Clr { page; op; undo_next }
+    | (7 | 11) when not images -> Page_image { page = Codec.get_u32 r; image = "" }
     | 7 ->
         let page = Codec.get_u32 r in
         let image = Codec.get_bytes r in
@@ -246,15 +481,19 @@ let decode ?(pos = 0) ?check s =
         let len = Codec.get_u32 r in
         let hole_off = Codec.get_u32 r in
         let hole_len = Codec.get_u32 r in
-        let tail = hole_off + hole_len in
-        if tail > len then raise (Codec.Corrupt "page image hole past its end");
-        let image = Bytes.make len '\000' in
-        Codec.get_blit r image ~pos:0 ~len:hole_off;
-        Codec.get_blit r image ~pos:tail ~len:(len - tail);
+        let image = Bytes.create len in
+        get_image r image ~len ~hole_off ~hole_len;
         Page_image { page; image = Bytes.unsafe_to_string image }
+    | 12 -> Move { parts = get_parts r }
+    | 13 ->
+        let undo_next = Codec.get_int r in
+        Move_clr { parts = get_parts r; undo_next }
     | n -> raise (Codec.Corrupt (Printf.sprintf "bad log body tag %d" n))
   in
   { lsn; prev; txn; body }
+
+let pp_parts =
+  Fmt.list ~sep:Fmt.comma (fun ppf { page; op } -> Fmt.pf ppf "p%d %a" page Page_op.pp op)
 
 let pp ppf t =
   let body ppf = function
@@ -274,5 +513,8 @@ let pp ppf t =
         Fmt.pf ppf "end_checkpoint(begin=%d %d dirty %d active)" begin_lsn
           (List.length dpt) (List.length att)
     | Commit_ts { ts } -> Fmt.pf ppf "commit_ts %d" ts
+    | Move { parts } -> Fmt.pf ppf "move %a" pp_parts parts
+    | Move_clr { parts; undo_next } ->
+        Fmt.pf ppf "move_clr %a undo_next=%d" pp_parts parts undo_next
   in
   Fmt.pf ppf "[%d txn=%d prev=%d %a]" t.lsn t.txn t.prev body t.body

@@ -25,9 +25,13 @@ type lundo = { tree : int; comp : Logical.comp }
     encoding stores a compensation's bytes once when the op already holds
     them: a [Put] whose cell equals a [Replace_slot]'s [old_cell] or a
     [Delete_slot]'s [cell], or a [Remove] whose key equals an
-    [Insert_slot]'s [cell], is written as a flag and the tree id, and
-    rebuilt from the op on decode. Any other compensation is written in
-    full. *)
+    [Insert_slot]'s [cell] or that cell's leading length-prefixed field
+    (blink and TSB record cells start with their key), is written as a
+    flag and the tree id, and rebuilt from the op on decode. Any other
+    compensation is written in full. *)
+
+type part = { page : int; op : Page_op.t }
+(** One page's share of a {!Move}: the op applied to that page. *)
 
 type body =
   | Begin of { kind : txn_kind }
@@ -72,6 +76,18 @@ type body =
           set with, logged just before its Commit record; analysis tracks
           the maximum so recovery can seed the reborn commit-timestamp
           allocator (see {!Pitree_txn.Snapshot}) *)
+  | Move of { parts : part list }
+      (** one structure change over several pages, such as a split that
+          fills a sibling and truncates the split node: the parts apply in
+          list order, each to its page. Redo applies a page's parts when
+          the page's LSN is older than the record; undo writes one
+          [Move_clr] of the inverse parts in reverse order. A page may
+          carry several parts. The encoding writes a cell run whose cells
+          are an in-order subsequence of an earlier part's run as
+          positions in that run, not as bytes: a split's truncation costs
+          a few bytes, not a second copy of the moved cells. *)
+  | Move_clr of { parts : part list; undo_next : Lsn.t }
+      (** the compensation of a [Move]: redo-only, like [Clr] *)
 
 type t = { lsn : Lsn.t; prev : Lsn.t; txn : int; body : body }
 
@@ -90,12 +106,31 @@ val frame_payload : Buffer.t -> bytes -> pos:int -> unit
     u32 length, the payload and its u32 CRC-32, [Buffer.length b + 8] bytes
     in all. *)
 
-val decode : ?pos:int -> ?check:bool -> string -> t
+val decode : ?pos:int -> ?check:bool -> ?images:bool -> string -> t
 (** Decode the frame starting at [pos] (default 0), checking its CRC in
     place — no copy of the frame or payload is made, so a caller can decode
     straight out of a block of frames. [~check:false] skips the CRC, for a
     frame already checked (the frame must still fit in the string).
-    Raises [Pitree_util.Codec.Corrupt] on framing/CRC errors. *)
+    [~images:false] decodes a [Page_image] with an empty [image]; the
+    caller reads the image with {!blit_image}. Raises
+    [Pitree_util.Codec.Corrupt] on framing/CRC errors. *)
+
+val blit_image : string -> pos:int -> bytes -> unit
+(** Write the image of the [Page_image] frame at [pos] (CRC not checked)
+    into the start of the buffer, putting its zero hole back: redo
+    applies an image straight from the scanned block into the page, with
+    no copy in between. Raises [Pitree_util.Codec.Corrupt] if the frame is
+    not an image or the image is longer than the buffer. *)
+
+val kinds : string array
+(** Names of the record kinds the log's statistics count:
+    update, move, clr (both compensation forms), image, commit, other. *)
+
+val kind : body -> int
+(** The body's index in {!kinds}. *)
+
+val frame_kind : string -> pos:int -> int
+(** The kind of the frame at [pos], read from its body tag alone. *)
 
 val frame_length : string -> pos:int -> int
 (** Total byte length of the frame whose header starts at [pos], read from

@@ -82,12 +82,17 @@ let insert_run ~slot cells =
 let cells_from page ~slot =
   List.init (Page.slot_count page - slot) (fun i -> Page.get page (slot + i))
 
+(* Lowest slot first, each entry's slot shifted down by the deletions
+   before it: the run lists the deleted cells in page order, so a move's
+   truncation is an in-order subsequence of its fill (see
+   [Log_record]'s shared parts). *)
 let delete_where page f =
-  let rec go i acc =
-    if i >= Page.slot_count page then acc
-    else go (i + 1) (if f i then (i, Page.get page i) :: acc else acc)
+  let rec go i gone acc =
+    if i >= Page.slot_count page then List.rev acc
+    else if f i then go (i + 1) (gone + 1) ((i - gone, Page.get page i) :: acc)
+    else go (i + 1) gone acc
   in
-  Delete_cells { cells = go 0 [] }
+  Delete_cells { cells = go 0 0 [] }
 
 (* Encoding tags. 9 and 10 were the whole-page [Clear]/[Restore] ops; old
    frames carrying them still decode, as the equivalent cell runs. 13 is a

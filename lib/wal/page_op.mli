@@ -54,7 +54,8 @@ val insert_run : slot:int -> string list -> t
     in order. *)
 
 val delete_where : Pitree_storage.Page.t -> (int -> bool) -> t
-(** Delete every slot [i] of the page with [f i], highest slot first. *)
+(** Delete every slot [i] of the page with [f i], lowest slot first: the
+    run's cells come in page order. *)
 
 val cells_from : Pitree_storage.Page.t -> slot:int -> string list
 (** The page's cells from slot [slot] to the last, in slot order. *)

@@ -48,25 +48,43 @@ let pin_or_new ?rebuilding pool pid =
       Atomic.incr torn_count;
       fresh ()
 
-(* Apply one undo step for [record] (an Update), writing a CLR. Returns the
-   CLR's lsn. [prev] is the transaction's latest log record, to backchain. *)
-let undo_update ~log ~pool ~txn ~prev ~page:pid ~op ~undo_next =
-  let inverse = Page_op.invert op in
-  let fr = pin_or_new pool pid in
-  Latch.acquire fr.Buffer_pool.latch Latch.X;
-  (* Dirty before the CLR is appended and before mutating: rec_lsn must be
-     captured from the pre-CLR page LSN (or a checkpoint's dirty-page table
-     would claim the CLR's effect is already durable), and the full-page
-     image the transition may log must precede the CLR it covers. *)
-  Buffer_pool.mark_dirty fr;
-  let clr_lsn =
-    Log_manager.append log ~prev ~txn
-      (Log_record.Clr { page = pid; op = inverse; undo_next })
+(* The distinct pages of [parts], in order of first appearance. *)
+let pages_of parts =
+  List.fold_left
+    (fun acc { Log_record.page; _ } -> if List.mem page acc then acc else page :: acc)
+    [] parts
+  |> List.rev
+
+(* Apply one undo step: the [inverse] parts of an Update (its op's
+   inverse) or a Move (its parts' inverses, last part first), logged as
+   the CLR [clr] that carries them. Returns the CLR's lsn. [prev] is the
+   transaction's latest log record, to backchain. The pages are X-latched
+   in the order the parts first name them. *)
+let undo_parts ~log ~pool ~txn ~prev clr inverse =
+  let frames =
+    List.map
+      (fun pid ->
+        let fr = pin_or_new pool pid in
+        Latch.acquire fr.Buffer_pool.latch Latch.X;
+        (* Dirty before the CLR is appended and before mutating: rec_lsn
+           must be captured from the pre-CLR page LSN (or a checkpoint's
+           dirty-page table would claim the CLR's effect is already
+           durable), and the full-page image the transition may log must
+           precede the CLR it covers. *)
+        Buffer_pool.mark_dirty fr;
+        (pid, fr))
+      (pages_of inverse)
   in
-  Page_op.redo fr.Buffer_pool.page inverse;
-  Page.set_lsn fr.Buffer_pool.page clr_lsn;
-  Latch.release fr.Buffer_pool.latch Latch.X;
-  Buffer_pool.unpin pool fr;
+  let clr_lsn = Log_manager.append log ~prev ~txn clr in
+  List.iter
+    (fun { Log_record.page; op } -> Page_op.redo (List.assoc page frames).Buffer_pool.page op)
+    inverse;
+  List.iter
+    (fun (_, fr) ->
+      Page.set_lsn fr.Buffer_pool.page clr_lsn;
+      Latch.release fr.Buffer_pool.latch Latch.X;
+      Buffer_pool.unpin pool fr)
+    frames;
   clr_lsn
 
 (* Undo one record [r] of [txn]: compensate it if it is an update, with a
@@ -77,7 +95,17 @@ let undo_step ~log ~pool ~txn ~prev r =
   let undo_next = r.Log_record.prev in
   match r.Log_record.body with
   | Log_record.Update { page; op; lundo = None } ->
-      (undo_next, undo_update ~log ~pool ~txn ~prev ~page ~op ~undo_next)
+      let op = Page_op.invert op in
+      ( undo_next,
+        undo_parts ~log ~pool ~txn ~prev
+          (Log_record.Clr { page; op; undo_next })
+          [ { Log_record.page; op } ] )
+  | Log_record.Move { parts } ->
+      let parts =
+        List.rev_map (fun { Log_record.page; op } -> { Log_record.page; op = Page_op.invert op }) parts
+      in
+      ( undo_next,
+        undo_parts ~log ~pool ~txn ~prev (Log_record.Move_clr { parts; undo_next }) parts )
   | Log_record.Update { lundo = Some { Log_record.tree; comp }; _ } -> (
       (* Non-page-oriented undo: compensate through the access method (the
          record may have been moved by committed structure changes). *)
@@ -89,7 +117,7 @@ let undo_step ~log ~pool ~txn ~prev r =
                "Recovery: logical-undo record for tree %d but no access-method \
                 handler registered"
                tree))
-  | Log_record.Clr { undo_next; _ } ->
+  | Log_record.Clr { undo_next; _ } | Log_record.Move_clr { undo_next; _ } ->
       (* Already-undone tail: jump past it. *)
       (undo_next, Lsn.null)
   | Log_record.Begin _ | Log_record.Commit | Log_record.Abort | Log_record.End
@@ -158,7 +186,7 @@ let run ~log ~pool =
     incr analyzed;
     match r.Log_record.body with
     | Log_record.Begin _ | Log_record.Update _ | Log_record.Clr _
-    | Log_record.Abort ->
+    | Log_record.Move _ | Log_record.Move_clr _ | Log_record.Abort ->
         Hashtbl.replace att r.Log_record.txn r.Log_record.lsn
     | Log_record.Commit | Log_record.End -> Hashtbl.remove att r.Log_record.txn
     | Log_record.Commit_ts { ts } -> max_commit_ts := max !max_commit_ts ts
@@ -199,31 +227,73 @@ let run ~log ~pool =
      at creation — floors truncation at or below the Format) lies at or
      above the redo point (Env's full-page-write rule guarantees it). *)
   let rebuilding : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-  Log_manager.iter_from log redo_from (fun r ->
-      if r.Log_record.lsn >= start then analyze r;
-      let apply ~base page mutate =
-        let fr = pin_or_new ~rebuilding pool page in
-        if base then Hashtbl.remove rebuilding page;
-        if Hashtbl.mem rebuilding page then incr skipped
-        else if Page.lsn fr.Buffer_pool.page < r.Log_record.lsn then begin
-          Buffer_pool.mark_dirty fr;
-          mutate fr.Buffer_pool.page;
-          Page.set_lsn fr.Buffer_pool.page r.Log_record.lsn;
-          incr redone
-        end
-        else incr skipped;
-        Buffer_pool.unpin pool fr
-      in
+  (* Pin [page] for the record at [lsn] and decide whether the page takes
+     it: not while it is an orphan, and only when its LSN is older.
+     Returns the frame, dirty, if so; the caller applies, stamps and
+     unpins. *)
+  let take ~lsn ~base page =
+    let fr = pin_or_new ~rebuilding pool page in
+    if base then Hashtbl.remove rebuilding page;
+    if (not (Hashtbl.mem rebuilding page)) && Page.lsn fr.Buffer_pool.page < lsn then begin
+      Buffer_pool.mark_dirty fr;
+      Some fr
+    end
+    else begin
+      Buffer_pool.unpin pool fr;
+      None
+    end
+  in
+  let finish ~lsn fr =
+    Page.set_lsn fr.Buffer_pool.page lsn;
+    Buffer_pool.unpin pool fr
+  in
+  let is_format = function Page_op.Format _ -> true | _ -> false in
+  (* A multi-page record: each page takes all of its parts or none, and a
+     [Format] part makes its page a base. *)
+  let redo_parts ~lsn parts =
+    let frames =
+      List.map
+        (fun pid ->
+          let base =
+            List.exists (fun { Log_record.page; op } -> page = pid && is_format op) parts
+          in
+          (pid, take ~lsn ~base pid))
+        (pages_of parts)
+    in
+    List.iter
+      (fun { Log_record.page; op } ->
+        match List.assoc page frames with
+        | Some fr ->
+            Page_op.redo fr.Buffer_pool.page op;
+            incr redone
+        | None -> incr skipped)
+      parts;
+    List.iter (fun (_, fr) -> Option.iter (finish ~lsn) fr) frames
+  in
+  Log_manager.iter_frames log redo_from (fun s ~pos ->
+      let r = Log_record.decode ~pos ~check:false ~images:false s in
+      let lsn = r.Log_record.lsn in
+      if lsn >= start then analyze r;
       match r.Log_record.body with
-      | Log_record.Update { page; op; _ } | Log_record.Clr { page; op; _ } ->
-          let base = match op with Page_op.Format _ -> true | _ -> false in
-          apply ~base page (fun p -> Page_op.redo p op)
-      | Log_record.Page_image { page; image } ->
+      | Log_record.Update { page; op; _ } | Log_record.Clr { page; op; _ } -> (
+          match take ~lsn ~base:(is_format op) page with
+          | Some fr ->
+              Page_op.redo fr.Buffer_pool.page op;
+              incr redone;
+              finish ~lsn fr
+          | None -> incr skipped)
+      | Log_record.Move { parts } | Log_record.Move_clr { parts; _ } -> redo_parts ~lsn parts
+      | Log_record.Page_image { page; _ } -> (
           (* Full-page write: rebuilds a page whose durable image is torn
              and whose older history is truncated away. The LSN guard skips
-             it whenever the durable image is already at or past it. *)
-          apply ~base:true page (fun p ->
-              Bytes.blit_string image 0 (Page.raw p) 0 (String.length image))
+             it whenever the durable image is already at or past it. The
+             image goes from the scanned block straight into the frame. *)
+          match take ~lsn ~base:true page with
+          | Some fr ->
+              Log_record.blit_image s ~pos (Page.raw fr.Buffer_pool.page);
+              incr redone;
+              finish ~lsn fr
+          | None -> incr skipped)
       | _ -> ());
   Buffer_pool.set_image_logger pool fpw;
   Buffer_pool.set_lsn_source pool lsrc;

@@ -459,6 +459,64 @@ let prop_tree_matches_model =
         model;
       Blink.count t = Hashtbl.length model)
 
+(* The records appended from [from + 1] on. *)
+let records_after log from =
+  let l = ref [] in
+  Pitree_wal.Log_manager.iter_from log (from + 1) (fun r -> l := r :: !l);
+  List.rev !l
+
+(* A leaf split logs one move record: the sibling's fill and the split
+   node's truncation, with the moved cells written once. Ascending keys:
+   after the root's split, the rightmost leaf fills to its 4 KiB page and
+   splits. *)
+let test_split_logs_one_move () =
+  let module Log_record = Pitree_wal.Log_record in
+  let module Page_op = Pitree_wal.Page_op in
+  let page = 4096 in
+  let env = Env.create { Env.default_config with page_size = page; pool_capacity = 256 } in
+  let t = Blink.create env ~name:"t" in
+  let log = Env.log env in
+  let n = ref 0 in
+  let insert () =
+    Blink.insert t ~key:(key !n) ~value:(value !n);
+    incr n
+  in
+  while (Blink.stats t).Blink.root_splits = 0 do
+    insert ()
+  done;
+  let splits = (Blink.stats t).Blink.leaf_splits in
+  let rec split () =
+    let from = Pitree_wal.Log_manager.last_lsn log in
+    insert ();
+    if (Blink.stats t).Blink.leaf_splits > splits then from else split ()
+  in
+  let moves =
+    List.filter
+      (fun r -> match r.Log_record.body with Log_record.Move _ -> true | _ -> false)
+      (records_after log (split ()))
+  in
+  match moves with
+  | [ ({ Log_record.body = Log_record.Move { parts }; _ } as r) ] ->
+      let frame = String.length (Log_record.encode r) in
+      let moved =
+        List.concat_map
+          (fun { Log_record.op; _ } ->
+            match op with Page_op.Insert_cells { cells } -> List.map snd cells | _ -> [])
+          parts
+      in
+      let bytes = List.fold_left (fun a c -> a + String.length c) 0 moved in
+      Alcotest.(check bool)
+        (Printf.sprintf "frame %d B below one page plus 256 B" frame)
+        true
+        (frame < page + 256);
+      (* The truncation costs a few bytes, not a second copy. *)
+      Alcotest.(check bool)
+        (Printf.sprintf "frame %d B carries the %d moved bytes once" frame bytes)
+        true
+        (frame < bytes + (4 * List.length moved) + 256);
+      check_wf t
+  | l -> Alcotest.failf "split logged %d move records" (List.length l)
+
 let suites =
   [
     ( "blink.basic",
@@ -502,4 +560,6 @@ let suites =
           test_olc_scan_wider_than_pool;
         QCheck_alcotest.to_alcotest prop_tree_matches_model;
       ] );
+    ( "blink.log",
+      [ Alcotest.test_case "split logs one move" `Quick test_split_logs_one_move ] );
   ]

@@ -34,7 +34,6 @@ let test_engine_points_preregistered () =
     (fun n ->
       Alcotest.(check bool) (n ^ " registered") true (List.mem n names))
     [
-      "blink.split.filled";
       "blink.split.linked";
       "blink.post.updated";
       "hb.split.linked";

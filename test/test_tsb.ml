@@ -348,6 +348,56 @@ let test_txn_abort_discards_version () =
     (Tsb.get t "k");
   Alcotest.(check int) "history clean" 1 (List.length (Tsb.history t "k"))
 
+(* A time split logs one move record: the history node's copy of the
+   whole node and the current node's trim, whose dead versions are written
+   as positions in that copy — below one page plus 4 B per dead
+   version. *)
+let test_time_split_logs_one_move () =
+  let module Log_record = Pitree_wal.Log_record in
+  let module Log_manager = Pitree_wal.Log_manager in
+  let module Page_op = Pitree_wal.Page_op in
+  let page = 4096 in
+  let env =
+    Env.create { (cfg ()) with page_size = page; pool_capacity = 256 }
+  in
+  let t = Tsb.create env ~name:"v" in
+  let log = Env.log env in
+  let round = ref 0 in
+  let rec split () =
+    let from = Log_manager.last_lsn log in
+    incr round;
+    ignore (Tsb.put t ~key:(List.nth [ "a"; "b"; "c"; "d" ] (!round mod 4))
+      ~value:(Printf.sprintf "value-%06d" !round));
+    if (Tsb.stats t).Tsb.time_splits > 0 then from else split ()
+  in
+  let from = split () in
+  let records = ref [] in
+  Log_manager.iter_from log (from + 1) (fun r -> records := r :: !records);
+  let moves =
+    List.filter_map
+      (fun r ->
+        match r.Log_record.body with
+        | Log_record.Move { parts } -> Some (r, parts)
+        | _ -> None)
+      !records
+  in
+  match moves with
+  | [ (r, parts) ] ->
+      let dead =
+        List.fold_left
+          (fun n { Log_record.op; _ } ->
+            match op with Page_op.Delete_cells { cells } -> n + List.length cells | _ -> n)
+          0 parts
+      in
+      let frame = String.length (Log_record.encode r) in
+      Alcotest.(check bool) "dead versions dropped" true (dead > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "frame %d B below one page plus 4 B for each of %d dead" frame dead)
+        true
+        (frame < page + (4 * dead));
+      check_wf t
+  | l -> Alcotest.failf "time split logged %d move records" (List.length l)
+
 let suites =
   [
     ( "tsb.ordkey",
@@ -369,6 +419,7 @@ let suites =
         Alcotest.test_case "key splits copy history ptr (Fig 1)" `Quick
           test_key_splits_copy_history_pointer;
         Alcotest.test_case "tree growth" `Quick test_many_keys_tree_growth;
+        Alcotest.test_case "time split logs one move" `Quick test_time_split_logs_one_move;
       ] );
     ( "tsb.queries",
       [

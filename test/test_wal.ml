@@ -222,6 +222,12 @@ let update ?lundo op = Log_record.Update { page = 3; op; lundo }
    stored in full. *)
 let test_lundo_shares_the_before_image () =
   let old_cell = String.make 300 'o' and cell = String.make 200 'c' in
+  let keyed_cell =
+    let b = Buffer.create 64 in
+    Pitree_util.Codec.put_bytes b (String.make 40 'k');
+    Pitree_util.Codec.put_bytes b "payload";
+    Buffer.contents b
+  in
   let lundo comp = Some { Log_record.tree = 7; comp } in
   let put c = lundo (Logical.Put { cell = c }) in
   let cases =
@@ -235,6 +241,16 @@ let test_lundo_shares_the_before_image () =
         Page_op.Insert_slot { slot = 0; cell },
         lundo (Logical.Remove { key = cell }),
         String.length cell );
+      (* Blink and TSB record cells lead with their key, length-prefixed:
+         the key is stored once, in the cell. *)
+      ( "insert + remove of the cell's key",
+        Page_op.Insert_slot { slot = 1; cell = keyed_cell },
+        lundo (Logical.Remove { key = String.make 40 'k' }),
+        40 );
+      ( "insert + remove of an empty key",
+        Page_op.Insert_slot { slot = 1; cell = "\000\000\000\000tail" },
+        lundo (Logical.Remove { key = "" }),
+        0 );
     ]
   in
   List.iter
@@ -264,7 +280,34 @@ let test_lundo_shares_the_before_image () =
     (frame_len (update op) + 4 + 1 + 4 + String.length other)
     (frame_len (update ?lundo:(put other) op));
   roundtrip_record
-    { Log_record.lsn = 1; prev = 0; txn = 1; body = update ?lundo:(put other) op }
+    { Log_record.lsn = 1; prev = 0; txn = 1; body = update ?lundo:(put other) op };
+  (* A key that is not the cell's leading field is spelled out. *)
+  let ins = Page_op.Insert_slot { slot = 1; cell = keyed_cell } in
+  let remove key = lundo (Logical.Remove { key }) in
+  Alcotest.(check int) "a key inside the cell, not leading it, is spelled out"
+    (frame_len (update ins) + 4 + 1 + 4 + 7)
+    (frame_len (update ?lundo:(remove "payload") ins));
+  roundtrip_record
+    { Log_record.lsn = 1; prev = 0; txn = 1; body = update ?lundo:(remove "payload") ins };
+  (* A shared-key frame whose cell's length prefix runs past the cell is
+     corrupt: the op's cell starts 47 bytes into the frame (length, three
+     header words, tag, page, flag, tree, op tag, slot, cell length). *)
+  let frame =
+    Bytes.of_string
+      (Log_record.encode
+         {
+           Log_record.lsn = 1;
+           prev = 0;
+           txn = 1;
+           body = update ?lundo:(remove (String.make 40 'k')) ins;
+         })
+  in
+  Alcotest.(check int) "flag 4 written" 4 (Bytes.get_uint8 frame 33);
+  Bytes.set_int32_le frame 47 0xffffl;
+  Alcotest.(check bool) "shared key past its cell rejected" true
+    (match Log_record.decode ~check:false (Bytes.to_string frame) with
+    | exception Pitree_util.Codec.Corrupt _ -> true
+    | _ -> false)
 
 (* A page image's longest zero run of at least 64 bytes is left out of the
    frame; shorter runs, odd lengths and images with no zeros round-trip
@@ -763,8 +806,9 @@ let test_replace_delta () =
     | _ -> false)
 
 (* Property: encode/decode of random log records — every op, every lundo
-   form (shared with the op or spelled out), and page images with and
-   without a zero hole. *)
+   form (shared with the op or spelled out), page images with and
+   without a zero hole, and multi-part moves and their CLRs, with and
+   without parts that share an earlier part's cells. *)
 let prop_log_record_roundtrip =
   let open QCheck in
   let cell = Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; '\000' ]) (0 -- 12)) in
@@ -822,10 +866,41 @@ let prop_log_record_roundtrip =
               if i >= at && i < at + hole then '\000' else Char.chr (i land 0xff)))
         (0 -- 600) (0 -- 600) (0 -- 300))
   in
+  let part_gen = Gen.(map2 (fun page op -> { Log_record.page; op }) small_nat op_gen) in
+  (* A run and a later run over an in-order subsequence of its cells, with
+     ascending, equal or arbitrary slots: the shape of a move's fill and
+     truncation, which the encoder writes as positions. *)
+  let shared_gen =
+    Gen.(
+      run >>= fun cells ->
+      list_repeat (List.length cells) bool >>= fun keep ->
+      triple small_nat (oneofl [ `Asc; `Same; `Any ]) bool >>= fun (s0, slots, del) ->
+      pair small_nat small_nat >>= fun (p, q) ->
+      let sub =
+        List.filteri (fun i _ -> List.nth keep i) cells
+        |> List.mapi (fun i (slot, c) ->
+               ((match slots with `Asc -> s0 + i | `Same -> s0 | `Any -> slot), c))
+      in
+      let fill = if del then Page_op.Delete_cells { cells } else Page_op.Insert_cells { cells } in
+      let trunc =
+        if del then Page_op.Insert_cells { cells = sub } else Page_op.Delete_cells { cells = sub }
+      in
+      return [ { Log_record.page = p; op = fill }; { Log_record.page = q; op = trunc } ])
+  in
+  let parts_gen =
+    Gen.(
+      oneof
+        [
+          small_list part_gen;
+          map3 (fun a sh b -> a @ sh @ b) (small_list part_gen) shared_gen (small_list part_gen);
+        ])
+  in
   let body_gen =
     Gen.(
       oneof
         [
+          map (fun parts -> Log_record.Move { parts }) parts_gen;
+          map2 (fun parts undo_next -> Log_record.Move_clr { parts; undo_next }) parts_gen small_nat;
           ( op_gen >>= fun op ->
             map2 (fun page lundo -> Log_record.Update { page; op; lundo }) small_nat
               (lundo_gen op) );
@@ -844,6 +919,138 @@ let prop_log_record_roundtrip =
   in
   Test.make ~name:"log record roundtrip" ~count:300 (make record_gen) (fun r ->
       Log_record.decode (Log_record.encode r) = r)
+
+(* A move's truncation that repeats cells of its fill is written as
+   positions: the frame carries the moved bytes once. *)
+let test_move_shares_cells () =
+  let cells = List.init 40 (fun i -> Printf.sprintf "%03d%s" i (String.make 97 'c')) in
+  let fill = Page_op.insert_run ~slot:0 ("fence" :: cells) in
+  let dead = List.filteri (fun i _ -> i mod 3 = 0) cells in
+  let trunc =
+    Page_op.Delete_cells { cells = List.mapi (fun i c -> ((3 * i) + 1 - i, c)) dead }
+  in
+  let moved = List.fold_left (fun n c -> n + String.length c) 5 cells in
+  let body =
+    Log_record.Move
+      {
+        parts =
+          [
+            { Log_record.page = 7; op = fill };
+            { page = 7; op = Page_op.Set_flags { old_flags = 0; new_flags = 1 } };
+            { page = 3; op = trunc };
+          ];
+      }
+  in
+  roundtrip_record { Log_record.lsn = 1; prev = 0; txn = 1; body };
+  let len = frame_len body in
+  if len > moved + (2 * 41) + (4 * List.length dead) + 96 then
+    Alcotest.failf "move frame %d bytes for %d moved bytes" len moved;
+  (* The same record with its parts swapped cannot share: the earlier part
+     holds only the dead cells. *)
+  let swapped =
+    match body with
+    | Log_record.Move { parts = [ a; b; c ] } -> Log_record.Move { parts = [ c; b; a ] }
+    | _ -> assert false
+  in
+  roundtrip_record { Log_record.lsn = 1; prev = 0; txn = 1; body = swapped };
+  Alcotest.(check bool) "an unshared truncation costs its bytes" true
+    (frame_len swapped > len + 13 * 100);
+  roundtrip_record
+    {
+      Log_record.lsn = 2;
+      prev = 1;
+      txn = 1;
+      body =
+        Log_record.Move_clr
+          {
+            parts =
+              [
+                { Log_record.page = 3; op = Page_op.invert trunc };
+                { page = 7; op = Page_op.invert fill };
+              ];
+            undo_next = 0;
+          };
+    }
+
+(* An atomic action that logged a move is rolled back, and the system
+   crashes during that rollback: with its CLR lost, with its CLR durable
+   but no End, and with the moved pages already written back. After
+   restart both pages are exactly as before the action. *)
+let test_move_undo_crash () =
+  let module Txn = Pitree_txn.Txn in
+  let module Txn_mgr = Pitree_txn.Txn_mgr in
+  let state pool pid =
+    let fr = Buffer_pool.pin pool pid in
+    let p = fr.Buffer_pool.page in
+    let s = (cells pool pid, Page.side_ptr p, Page.kind p, Page.level p, Page.flags p) in
+    Buffer_pool.unpin pool fr;
+    s
+  in
+  List.iter
+    (fun (what, clr_durable, written_back) ->
+      let disk, log, pool, _ = raw_env () in
+      let mgr = Txn_mgr.create ~log ~pool ~locks:(Pitree_lock.Lock_manager.create ()) () in
+      let setup = Txn_mgr.begin_txn mgr Txn.System in
+      let left = Buffer_pool.pin_new pool 5 and right = Buffer_pool.pin_new pool 6 in
+      let fmt fr = ignore (Txn_mgr.update mgr setup fr (Page_op.Format { kind = Page.Data; level = 0 })) in
+      fmt left;
+      fmt right;
+      ignore (Txn_mgr.update mgr setup left (Page_op.insert_run ~slot:0 [ "f"; "a"; "b"; "c"; "d" ]));
+      ignore (Txn_mgr.update mgr setup right (Page_op.insert_run ~slot:0 [ "g" ]));
+      Txn_mgr.commit mgr setup;
+      let before = (state pool 5, state pool 6) in
+      let split = Txn_mgr.begin_txn mgr Txn.System in
+      let lp = left.Buffer_pool.page in
+      let move_lsn =
+        Txn_mgr.move mgr split
+          [
+            (right, Page_op.insert_run ~slot:1 (Page_op.cells_from lp ~slot:3));
+            (right, Page_op.Set_side_ptr { old_ptr = 0; new_ptr = 9 });
+            (left, Page_op.delete_where lp (fun i -> i >= 3));
+            (left, Page_op.Set_side_ptr { old_ptr = 0; new_ptr = 6 });
+          ]
+      in
+      (match (Log_manager.read log move_lsn).Log_record.body with
+      | Log_record.Move { parts } -> Alcotest.(check int) (what ^ ": four parts") 4 (List.length parts)
+      | _ -> Alcotest.failf "%s: move logged no Move record" what);
+      Alcotest.(check (list string)) (what ^ ": moved") [ "g"; "c"; "d" ] (cells pool 6);
+      if written_back then Buffer_pool.flush_all pool;
+      (* Roll back by hand, as an abort does, and crash inside it. *)
+      let abort = Log_manager.append log ~prev:move_lsn ~txn:split.Txn.id Log_record.Abort in
+      Log_manager.flush_all log;
+      if clr_durable then begin
+        let clr =
+          Recovery.rollback ~prev:abort ~log ~pool ~txn:split.Txn.id ~from_lsn:move_lsn ()
+        in
+        (match (Log_manager.read log clr).Log_record.body with
+        | Log_record.Move_clr { parts; undo_next } ->
+            Alcotest.(check int) (what ^ ": undo_next is the move's prev") 0 undo_next;
+            Alcotest.(check (list int)) (what ^ ": inverse parts, last first") [ 5; 5; 6; 6 ]
+              (List.map (fun p -> p.Log_record.page) parts)
+        | _ -> Alcotest.failf "%s: rollback wrote no Move_clr" what);
+        Alcotest.(check bool) (what ^ ": live undo restores") true
+          (before = (state pool 5, state pool 6))
+      end;
+      Buffer_pool.unpin pool left;
+      Buffer_pool.unpin pool right;
+      let log, pool, report = crash_and_recover disk log pool in
+      Alcotest.(check (list int)) (what ^ ": the action is a loser") [ split.Txn.id ]
+        report.Recovery.loser_txns;
+      Alcotest.(check int) (what ^ ": CLRs written at restart") (if clr_durable then 0 else 1)
+        report.Recovery.clrs_written;
+      Alcotest.(check bool) (what ^ ": both pages as before") true
+        (before = (state pool 5, state pool 6));
+      (* And once more: a second restart changes nothing. *)
+      let _, pool, report = crash_and_recover disk log pool in
+      Alcotest.(check (list int)) (what ^ ": no loser after") [] report.Recovery.loser_txns;
+      Alcotest.(check bool) (what ^ ": still as before") true
+        (before = (state pool 5, state pool 6)))
+    [
+      ("clr lost", false, false);
+      ("clr durable, no end", true, false);
+      ("pages written back", true, true);
+      ("pages written back, clr lost", false, true);
+    ]
 
 let suites =
   [
@@ -865,6 +1072,7 @@ let suites =
           test_lundo_shares_the_before_image;
         Alcotest.test_case "page image hole" `Quick test_page_image_hole;
         Alcotest.test_case "replace logs a delta" `Quick test_replace_delta;
+        Alcotest.test_case "move shares cells" `Quick test_move_shares_cells;
       ] );
     ( "wal.log_manager",
       [
@@ -883,5 +1091,6 @@ let suites =
         Alcotest.test_case "old-format log" `Quick test_recovery_old_format;
         Alcotest.test_case "checkpoint skips empty txn" `Quick
           test_checkpoint_skips_empty_txn;
+        Alcotest.test_case "move undone across a crash" `Quick test_move_undo_crash;
       ] );
   ]

@@ -400,6 +400,91 @@ let test_truncate_all_keeps_lsns () =
       Alcotest.(check int) "the kept record reads back" 20
         (Log_manager.read l 20).Log_record.lsn)
 
+(* A move and its CLR, frozen: a later codec change that alters how
+   move records are written must keep these decoding. The move's
+   truncation shares the fill's cells (positions 1 and 2); its CLR's
+   parts share nothing. *)
+let test_move_frames_decode () =
+  let parts =
+    [
+      { Log_record.page = 7; op = Page_op.insert_run ~slot:0 [ "fe"; "ab"; "cd" ] };
+      { page = 7; op = Page_op.Set_side_ptr { old_ptr = 0; new_ptr = 3 } };
+      { page = 3; op = Page_op.Delete_cells { cells = [ (1, "ab"); (1, "cd") ] } };
+    ]
+  in
+  let r3 = { Log_record.lsn = 20; prev = 18; txn = 4; body = Log_record.Move { parts } } in
+  let r4 =
+    {
+      Log_record.lsn = 22;
+      prev = 21;
+      txn = 4;
+      body =
+        Log_record.Move_clr
+          {
+            parts =
+              List.rev_map
+                (fun { Log_record.page; op } -> { Log_record.page; op = Page_op.invert op })
+                parts;
+            undo_next = 18;
+          };
+    }
+  in
+  let f3 =
+    of_hex
+      "4b0000001400000000000000120000000000000004000000000000000c0300070000000303000000020066650200616202006364070000000006000000000300000003000000\
+       1e02000100000001008ec61335"
+  in
+  let f4 =
+    of_hex
+      "5b0000001600000000000000150000000000000004000000000000000d120000000000000003000300000005020001000200636402006162070000000006030000000000000007000000\
+       020300020001000000020063640200616202006665db3185b1"
+  in
+  Alcotest.(check bool) "move decodes" true (Log_record.decode f3 = r3);
+  Alcotest.(check bool) "move clr decodes" true (Log_record.decode f4 = r4);
+  Alcotest.(check string) "move re-encodes identically" f3 (Log_record.encode r3);
+  Alcotest.(check string) "move clr re-encodes identically" f4 (Log_record.encode r4)
+
+(* The per-kind counters cover exactly the frames [bytes] counts, for a
+   live log and for one reopened from its file or its durable store. *)
+let test_kind_stats () =
+  let bodies =
+    [
+      Log_record.Update
+        { page = 1; op = Page_op.Insert_slot { slot = 0; cell = "x" }; lundo = None };
+      Log_record.Move
+        {
+          parts =
+            [
+              { Log_record.page = 1; op = Page_op.insert_run ~slot:0 [ "a"; "b" ] };
+              { page = 2; op = Page_op.Delete_cells { cells = [ (0, "a"); (0, "b") ] } };
+            ];
+        };
+      Log_record.Clr
+        { page = 1; op = Page_op.Delete_slot { slot = 0; cell = "x" }; undo_next = 0 };
+      image_body ~page:3 300;
+      Log_record.Commit;
+      Log_record.Begin_checkpoint;
+    ]
+  in
+  let check what l =
+    let s = Log_manager.stats l in
+    Alcotest.(check (list string)) (what ^ ": kinds")
+      [ "update"; "move"; "clr"; "image"; "commit"; "other" ]
+      (List.map fst s.Log_manager.kind_bytes);
+    Alcotest.(check (list int)) (what ^ ": one append each") [ 1; 1; 1; 1; 1; 1 ]
+      (List.map snd s.Log_manager.kind_appends);
+    Alcotest.(check int) (what ^ ": kinds sum to bytes") s.Log_manager.bytes
+      (List.fold_left (fun n (_, b) -> n + b) 0 s.Log_manager.kind_bytes)
+  in
+  let fill l =
+    List.iter (fun b -> ignore (Log_manager.append l ~prev:Lsn.null ~txn:1 b)) bodies;
+    check "live" l;
+    Log_manager.flush_all l;
+    check "reopened" (Log_manager.crash l)
+  in
+  fill (Log_manager.create ());
+  with_path "kinds" (fun path -> fill (Log_manager.create ~path ()))
+
 let suites =
   [
     ( "wal.store",
@@ -416,5 +501,7 @@ let suites =
         Alcotest.test_case "64 MiB durable, heap bounded" `Slow test_heap_bound;
         Alcotest.test_case "truncating everything keeps the LSN sequence"
           `Quick test_truncate_all_keeps_lsns;
+        Alcotest.test_case "move frames decode" `Quick test_move_frames_decode;
+        Alcotest.test_case "per-kind counts across reopen" `Quick test_kind_stats;
       ] );
   ]
