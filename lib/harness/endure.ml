@@ -5,6 +5,7 @@ module Page = Pitree_storage.Page
 module Log_manager = Pitree_wal.Log_manager
 module Log_record = Pitree_wal.Log_record
 module Lsn = Pitree_wal.Lsn
+module Recovery = Pitree_wal.Recovery
 module Blink = Pitree_blink.Blink
 module Blink_engine = Pitree_blink.Blink_engine
 module Engine = Pitree_core.Engine
@@ -126,6 +127,7 @@ type result = {
   stats : Stats.t;
   cycles_done : int;
   recovery_ms : float list;
+  torn_pages : int list;
   verified_keys : int;
   lost_writes : int;
   scan_shortfalls : int;
@@ -637,6 +639,7 @@ let run ?(log = fun _ -> ()) cfg =
         Domain.spawn (fun () -> worker cfg sh states.(w) ~w))
   in
   let recovery_ms = ref [] in
+  let torn_pages = ref [] in
   let cycles_done = ref 0 in
   let verified = ref 0 in
   let verify_lost = ref 0 in
@@ -661,7 +664,8 @@ let run ?(log = fun _ -> ()) cfg =
   (* One crash+recover cycle: park every worker (no op straddles the
      crash), force the log (commits already did — this also covers the
      group-commit tail), tear a fraction of the dirty pages on the way
-     down like a dying power supply would, crash, recover, reopen the
+     down like a dying power supply would (each dirty page is written,
+     and a torn write does not stop the rest), crash, recover, reopen the
      tree, and verify both the structural invariant and a sample of every
      worker's committed writes. Read-path faults stay on through recovery
      itself. *)
@@ -670,14 +674,13 @@ let run ?(log = fun _ -> ()) cfg =
     Log_manager.flush_all (Env.log env);
     if cfg.faults then begin
       Disk.Faulty.set_plan ctl crash_flush_plan;
-      (try Buffer_pool.flush_all (Env.pool env)
-       with Disk.Disk_error _ -> ());
+      Buffer_pool.crash_flush (Env.pool env);
       Disk.Faulty.set_plan ctl steady_plan
     end;
     Env.crash env;
     let t0 = Unix.gettimeofday () in
     (match Env.recover env with
-    | _report -> ()
+    | report -> torn_pages := report.Recovery.torn_pages :: !torn_pages
     | exception e ->
         add_error sh
           (Printf.sprintf "cycle %d: recovery raised %s" i
@@ -897,6 +900,7 @@ let run ?(log = fun _ -> ()) cfg =
     stats;
     cycles_done = !cycles_done;
     recovery_ms = List.rev !recovery_ms;
+    torn_pages = List.rev !torn_pages;
     verified_keys = !verified;
     lost_writes;
     scan_shortfalls;
@@ -953,9 +957,10 @@ let to_json r =
   Printf.bprintf b "\"stats\": %s,\n" (Stats.to_json r.stats);
   Printf.bprintf b
     "\"crash_cycles\": {\"requested\": %d, \"completed\": %d, \
-     \"recovery_ms\": [%s], \"verified_keys\": %d},\n"
+     \"recovery_ms\": [%s], \"torn_pages\": [%s], \"verified_keys\": %d},\n"
     cfg.crash_cycles r.cycles_done
     (String.concat ", " (List.map (Printf.sprintf "%.1f") r.recovery_ms))
+    (String.concat ", " (List.map string_of_int r.torn_pages))
     r.verified_keys;
   Printf.bprintf b
     "\"lost_writes\": %d, \"scan_shortfalls\": %d, \"wellformed_failures\": \

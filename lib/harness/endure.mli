@@ -98,6 +98,10 @@ type result = {
           recovery (their volatile holders are rebuilt by each cycle) *)
   cycles_done : int;
   recovery_ms : float list;  (** per-cycle recovery wall time, in order *)
+  torn_pages : int list;
+      (** per-cycle count of pages whose durable image failed verification
+          and were rebuilt from the log ([Recovery.report.torn_pages]), one
+          entry per recovery that returned, in order *)
   verified_keys : int;  (** model keys checked across all verifications *)
   lost_writes : int;
       (** committed writes a read, scan-side check or post-recovery model

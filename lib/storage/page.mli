@@ -61,6 +61,11 @@ val nil : int
 val create : size:int -> id:int -> kind:kind -> level:int -> t
 (** A freshly formatted page with no cells. *)
 
+val format : t -> kind:kind -> level:int -> unit
+(** Re-format in place: zero the whole image and write a fresh header
+    with no cells, leaving the bytes {!create} would give, without a new
+    buffer. *)
+
 val of_bytes : id:int -> bytes -> t
 (** Adopt [bytes] (not copied) as page [id]'s image. Raises
     [Pitree_util.Codec.Corrupt] on a bad magic number. Does {e not} verify

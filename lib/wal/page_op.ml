@@ -35,9 +35,7 @@ let check_run page cells ~insert =
 
 let redo page op =
   match op with
-  | Format { kind; level } ->
-      let fresh = Page.create ~size:(Page.size page) ~id:(Page.id page) ~kind ~level in
-      Bytes.blit (Page.raw fresh) 0 (Page.raw page) 0 (Page.size page)
+  | Format { kind; level } -> Page.format page ~kind ~level
   | Reformat { new_kind; new_level; _ } ->
       Page.set_kind page new_kind;
       Page.set_level page new_level

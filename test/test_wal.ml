@@ -1052,6 +1052,69 @@ let test_move_undo_crash () =
       ("pages written back, clr lost", false, true);
     ]
 
+(* Redo of a page that never reached disk pins one blank frame and formats
+   it in place: one 4 KiB page buffer per page. The page file is a real file,
+   so the end-of-restart write-back allocates no buffers of its own; 4 KiB
+   buffers go straight to the major heap, so major words count them. *)
+let test_restart_one_buffer_per_new_page () =
+  let page_size = 4096 and k = 256 in
+  let path = Filename.temp_file "pitree_restart" ".pages" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let disk = Disk.file ~page_size ~path in
+  let log = Log_manager.create () in
+  let mk_pool log =
+    Buffer_pool.create ~capacity:512 ~disk ~wal_flush:(fun l -> Log_manager.flush log l) ()
+  in
+  let pool = mk_pool log in
+  let pids = List.init k (fun i -> i + 2) in
+  let prev = ref 0 in
+  let images =
+    List.map
+      (fun pid ->
+        let fr = Buffer_pool.pin_new pool pid in
+        List.iter
+          (fun op ->
+            prev :=
+              Log_manager.append log ~prev:!prev ~txn:1
+                (Log_record.Update { page = pid; op; lundo = None });
+            Buffer_pool.mark_dirty fr;
+            Page_op.redo fr.Buffer_pool.page op;
+            Page.set_lsn fr.Buffer_pool.page !prev)
+          [
+            Page_op.Format { kind = Page.Data; level = 0 };
+            Page_op.Insert_slot { slot = 0; cell = Printf.sprintf "cell-%d" pid };
+          ];
+        let image = Page.copy fr.Buffer_pool.page in
+        Page.stamp_checksum image;
+        Buffer_pool.unpin pool fr;
+        (pid, Bytes.to_string (Page.raw image)))
+      pids
+  in
+  ignore (Log_manager.append log ~prev:!prev ~txn:1 Log_record.Commit);
+  Log_manager.flush_all log;
+  Buffer_pool.crash pool;
+  let log = Log_manager.crash log in
+  let pool = mk_pool log in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  let report = Recovery.run ~log ~pool in
+  (* Direct major allocations reach the counters at a minor collection. *)
+  Gc.minor ();
+  let words = (Gc.quick_stat ()).Gc.major_words -. before in
+  Alcotest.(check int) "every record redone" (2 * k) report.Recovery.redone;
+  let buffers = words /. float_of_int ((page_size / (Sys.word_size / 8)) + 1) in
+  if buffers >= 1.5 *. float_of_int k then
+    Alcotest.failf "restart allocated %.0f page buffers of major words for %d new pages \
+                    (want < %.0f)" buffers k (1.5 *. float_of_int k);
+  List.iter
+    (fun (pid, image) ->
+      let fr = Buffer_pool.pin pool pid in
+      Alcotest.(check string) (Printf.sprintf "page %d byte-identical" pid) image
+        (Bytes.to_string (Page.raw fr.Buffer_pool.page));
+      Buffer_pool.unpin pool fr)
+    images;
+  disk.Disk.close ()
+
 let suites =
   [
     ( "wal.page_op",
@@ -1092,5 +1155,7 @@ let suites =
         Alcotest.test_case "checkpoint skips empty txn" `Quick
           test_checkpoint_skips_empty_txn;
         Alcotest.test_case "move undone across a crash" `Quick test_move_undo_crash;
+        Alcotest.test_case "one page buffer per new page" `Quick
+          test_restart_one_buffer_per_new_page;
       ] );
   ]
